@@ -38,6 +38,8 @@ __all__ = [
     "sigmoid",
     "tanh",
     "softmax",
+    "lstm_step",
+    "lstm_sequence",
     "embedding",
     "cross_entropy",
     "tsum",
@@ -278,12 +280,15 @@ def cols(a, start: int, stop: int) -> Tensor:
     return _node(a.data[:, start:stop].copy(), (a,), bwd)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # Branch on sign so exp never overflows.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a) -> Tensor:
     a = _coerce(a)
-    # Branch on sign so exp never overflows.
-    x = a.data
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = _sigmoid(a.data)
 
     def bwd(g):
         return (g * out * (1.0 - out),)
@@ -316,6 +321,105 @@ def softmax(a) -> Tensor:
         return (out * (g - dot),)
 
     return _node(out, (a,), bwd)
+
+
+def _lstm_hidden(op: str, xproj: Tensor, wh: Tensor) -> int:
+    """Hidden size H implied by a (., 4H) input projection and (4H, H) weights."""
+    wsh, xsh = wh.data.shape, xproj.data.shape
+    if len(wsh) != 2 or wsh[0] != 4 * wsh[1] or len(xsh) != 2 or xsh[1] != wsh[0]:
+        raise ShapeError(f"{op}: input projection {xsh} does not fit recurrent weights {wsh}")
+    return wsh[1]
+
+
+def _lstm_cell(pre: np.ndarray, c: np.ndarray, H: int):
+    """One step from (B, 4H) pre-activations packed [input; forget; output; candidate].
+
+    Returns the gate values, the next cell state c' and tanh(c'); the
+    next hidden state is the output gate times tanh(c').
+    """
+    act = np.empty_like(pre)
+    act[:, :3 * H] = _sigmoid(pre[:, :3 * H])
+    act[:, 3 * H:] = np.tanh(pre[:, 3 * H:])
+    c_next = act[:, H:2 * H] * c + act[:, :H] * act[:, 3 * H:]
+    return act, c_next, np.tanh(c_next)
+
+
+def _lstm_cell_grads(act, c_prev, tc, dh, dc, whd):
+    """Backward of one `_lstm_cell` step.
+
+    `dh` and `dc` are the gradients at the step's h' and c' from outside
+    the step; the path through h' = o * tanh(c') is added here.  Returns
+    the gradients at the pre-activations, the previous h and previous c.
+    """
+    H = tc.shape[1]
+    i, f, o, g = act[:, :H], act[:, H:2 * H], act[:, 2 * H:3 * H], act[:, 3 * H:]
+    dc = dc + dh * o * (1.0 - tc * tc)
+    dpre = np.concatenate([dc * g * i * (1.0 - i),
+                           dc * c_prev * f * (1.0 - f),
+                           dh * tc * o * (1.0 - o),
+                           dc * i * (1.0 - g * g)], axis=1)
+    return dpre, dpre @ whd, dc * f
+
+
+def lstm_step(xproj, state, wh) -> Tensor:
+    """Advance B rows of packed LSTM states [h | c] by one step.
+
+    `xproj` is the (B, 4H) input projection x @ Wx.T + b, gates packed as
+    [input; forget; output; candidate]; `state` is (B, 2H) and `wh` the
+    (4H, H) recurrent weights.  Returns the next (B, 2H) state:
+
+        i, f, o = sigmoid(.), g = tanh(.)   of xproj + h @ Wh.T
+        c' = f * c + i * g,  h' = o * tanh(c')
+    """
+    xproj, state, wh = _coerce(xproj), _coerce(state), _coerce(wh)
+    H = _lstm_hidden("lstm_step", xproj, wh)
+    if state.data.shape != (xproj.data.shape[0], 2 * H):
+        raise ShapeError(f"lstm_step: state {state.data.shape} for input projection "
+                         f"{xproj.data.shape}, expected {(xproj.data.shape[0], 2 * H)}")
+    whd = wh.data
+    h, c = state.data[:, :H], state.data[:, H:]
+    act, c_next, tc = _lstm_cell(xproj.data + h @ whd.T, c, H)
+
+    def bwd(grad):
+        dpre, dh, dc = _lstm_cell_grads(act, c, tc, grad[:, :H], grad[:, H:], whd)
+        return dpre, np.concatenate([dh, dc], axis=1), dpre.T @ h
+
+    out = np.concatenate([act[:, 2 * H:3 * H] * tc, c_next], axis=1)
+    return _node(out, (xproj, state, wh), bwd)
+
+
+def lstm_sequence(xproj, wh, reverse: bool = False) -> Tensor:
+    """Run an LSTM from the zero state over a whole (n, 4H) input projection.
+
+    Returns the (n, H) hidden states in input order.  With `reverse` the
+    recurrence starts at the last row.  Each step is the update of
+    `lstm_step`; the backward pass is backpropagation through time inside
+    this one node.
+    """
+    xproj, wh = _coerce(xproj), _coerce(wh)
+    H = _lstm_hidden("lstm_sequence", xproj, wh)
+    n = xproj.data.shape[0]
+    whd, x = wh.data, xproj.data
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    acts = np.empty((n, 4 * H))
+    h_prev, c_prev = np.empty((n, H)), np.empty((n, H))
+    hs, tcs = np.empty((n, H)), np.empty((n, H))
+    h, c = np.zeros((1, H)), np.zeros((1, H))
+    for t in order:
+        h_prev[t], c_prev[t] = h, c
+        act, c, tc = _lstm_cell(x[t:t + 1] + h @ whd.T, c, H)
+        h = act[:, 2 * H:3 * H] * tc
+        acts[t], tcs[t], hs[t] = act, tc, h
+
+    def bwd(grad):
+        dpre = np.empty((n, 4 * H))
+        dh, dc = np.zeros((1, H)), np.zeros((1, H))
+        for t in reversed(order):
+            dpre[t], dh, dc = _lstm_cell_grads(acts[t:t + 1], c_prev[t:t + 1],
+                                               tcs[t:t + 1], grad[t:t + 1] + dh, dc, whd)
+        return dpre, dpre.T @ h_prev
+
+    return _node(hs, (xproj, wh), bwd)
 
 
 def embedding(table, ids) -> Tensor:

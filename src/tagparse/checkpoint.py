@@ -23,13 +23,15 @@ import numpy as np
 
 from .autodiff import Tensor
 
-__all__ = ["FORMAT_VERSION", "CheckpointError", "save_checkpoint", "load_checkpoint"]
+__all__ = ["FORMAT_VERSION", "CheckpointError", "save_checkpoint", "load_checkpoint",
+           "restore_parameters"]
 
 FORMAT_VERSION = 1
 
 
 class CheckpointError(ValueError):
-    """Raised for missing/unsupported format versions or malformed containers."""
+    """Raised for unsupported format versions, malformed containers, or
+    parameters that do not match the model being restored."""
 
 
 def save_checkpoint(path, params: Sequence[Tensor] | Dict[str, np.ndarray],
@@ -77,3 +79,25 @@ def load_checkpoint(path, expect_kind: str | None = None) -> Tuple[Dict[str, np.
             raise CheckpointError(f"parameter '{name}': {values.size} values for shape {shape}")
         params[name] = values.reshape(shape)
     return params, doc.get("meta", {})
+
+
+def restore_parameters(params: Sequence[Tensor], values: Dict[str, np.ndarray]) -> None:
+    """Load checkpoint arrays into a freshly built model's parameters.
+
+    The checkpoint must hold exactly the model's parameter names, each at
+    the shape the model gives it; the first difference raises
+    CheckpointError naming the parameter.
+    """
+    expected = {p.name: p for p in params}
+    for name in expected:
+        if name not in values:
+            raise CheckpointError(f"checkpoint lacks parameter '{name}'")
+    for name in sorted(values):
+        if name not in expected:
+            raise CheckpointError(f"checkpoint has unexpected parameter '{name}'")
+    for p in params:
+        if values[p.name].shape != p.data.shape:
+            raise CheckpointError(
+                f"parameter '{p.name}': checkpoint shape {values[p.name].shape}, "
+                f"model expects {p.data.shape}")
+        p.data = values[p.name]

@@ -2,8 +2,10 @@
 
 LSTM gates are packed row-wise as [input; forget; output; candidate]
 blocks of the hidden size.  All weights are Glorot-uniform, all biases
-zero.  States are (1, hidden) row vectors; a sequence encoder stacks
-per-step states into an (n, hidden) matrix.
+zero.  The recurrences are fused autodiff ops: a whole sequence runs as
+one `lstm_sequence` node giving an (n, hidden) matrix, and one decoder
+step advances B rows of packed (B, 2 * hidden) [h | c] states as one
+`lstm_step` node.
 """
 
 from __future__ import annotations
@@ -62,32 +64,13 @@ class LstmCell:
         """Precompute xs @ Wx.T + b for a whole (n, I) sequence at once."""
         return ad.add(ad.matmul(xs, ad.transpose(self.wx)), self.b)
 
-    def step(self, xproj_t: Tensor, h: Tensor, c: Tensor) -> Tuple[Tensor, Tensor]:
-        """Advance one step from a precomputed (1, 4H) input projection."""
-        H = self.hidden_size
-        gates = ad.add(xproj_t, ad.matmul(h, ad.transpose(self.wh)))
-        i = ad.sigmoid(ad.cols(gates, 0, H))
-        f = ad.sigmoid(ad.cols(gates, H, 2 * H))
-        o = ad.sigmoid(ad.cols(gates, 2 * H, 3 * H))
-        g = ad.tanh(ad.cols(gates, 3 * H, 4 * H))
-        c_next = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h_next = ad.mul(o, ad.tanh(c_next))
-        return h_next, c_next
+    def step(self, xproj: Tensor, state: Tensor) -> Tensor:
+        """Advance (B, 2H) [h | c] states from a precomputed (B, 4H) input projection."""
+        return ad.lstm_step(xproj, state, self.wh)
 
-    def run(self, xs: Tensor, reverse: bool = False) -> List[Tensor]:
-        """Run over an (n, I) sequence; returns per-step (1, H) states in input order."""
-        n = xs.data.shape[0]
-        xproj = self.project_inputs(xs)
-        h = ad.tensor(np.zeros((1, self.hidden_size)))
-        c = ad.tensor(np.zeros((1, self.hidden_size)))
-        states: List[Tensor] = []
-        order = range(n - 1, -1, -1) if reverse else range(n)
-        for t in order:
-            h, c = self.step(ad.rows(xproj, t, t + 1), h, c)
-            states.append(h)
-        if reverse:
-            states.reverse()
-        return states
+    def run(self, xs: Tensor, reverse: bool = False) -> Tensor:
+        """Run over an (n, I) sequence from the zero state; returns (n, H) states in input order."""
+        return ad.lstm_sequence(self.project_inputs(xs), self.wh, reverse)
 
 
 class BiLstmEncoder:
@@ -117,8 +100,5 @@ class BiLstmEncoder:
         """Map an (n, I) input sequence to (n, 2H) contextual states."""
         current = xs
         for fwd, bwd in self.layers:
-            f_states = fwd.run(current)
-            b_states = bwd.run(current, reverse=True)
-            per_word = [ad.concat([f, b], axis=1) for f, b in zip(f_states, b_states)]
-            current = ad.concat(per_word, axis=0)
+            current = ad.concat([fwd.run(current), bwd.run(current, reverse=True)], axis=1)
         return current

@@ -10,9 +10,12 @@ concatenated with the previous attentional state.
 
 Training is teacher-forced cross-entropy on (x, predicted tags, y)
 triples; the tags come from a trained tagger, never from gold
-alignments.  Decoding is beam search over output tokens; beam size 1 is
-greedy decoding.  If no hypothesis finishes within the length budget
-the best partial sequence is returned with a truncation flag.
+alignments.  Each minibatch runs as one padded decoder pass: B rows
+advance together, each attending over its own utterance's encoder
+states through an additive mask, and padded steps carry zero loss.
+Decoding is beam search over output tokens; beam size 1 is greedy
+decoding.  If no hypothesis finishes within the length budget the best
+partial sequence is returned with a truncation flag.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, restore_parameters, save_checkpoint
 from .data import MeaningRepresentation, deanonymize_tokens
 from .nn import BiLstmEncoder, LstmCell, Vocab
 from .optim import Adam
@@ -69,7 +72,6 @@ class ParserConfig:
 class DecodeConfig:
     max_length: int = 150
     beam_size: int = 5
-    length_normalize: bool = False
 
     def __post_init__(self):
         if self.beam_size < 1:
@@ -150,48 +152,83 @@ def embed_inputs(params: ParserParams, utterance, tags=None) -> Tensor:
     return ad.concat([tag_block, words], axis=1)
 
 
-def _encode(params: ParserParams, utterance, tags):
-    enc = params.encoder.encode(embed_inputs(params, utterance, tags))
-    n, h = enc.data.shape[0], params.config.hidden_size
-    summary = ad.concat([ad.cols(ad.rows(enc, n - 1, n), 0, h),
-                         ad.cols(ad.rows(enc, 0, 1), h, 2 * h)], axis=1)
+def _start(params: ParserParams, utterances, tag_lists):
+    """Encode a batch of B utterances and build the decoder's first inputs.
+
+    Returns the encoder states of every utterance stacked row-wise (N, 2H),
+    the (B, N) additive attention mask (0 on a row's own utterance, -inf
+    elsewhere; None when B is 1), the (B, 2H) [h | c] decoder state and
+    the (B, H) input feed.
+    """
+    encs = [params.encoder.encode(embed_inputs(params, u, t))
+            for u, t in zip(utterances, tag_lists)]
+    lengths = np.array([e.data.shape[0] for e in encs])
+    ends = np.cumsum(lengths)
+    enc = ad.concat(encs, axis=0)
+    h = params.config.hidden_size
+    # h0 reads the forward state of the last word and the backward state of the first
+    summary = ad.concat([ad.cols(ad.embedding(enc, ends - 1), 0, h),
+                         ad.cols(ad.embedding(enc, ends - lengths), h, 2 * h)], axis=1)
     h0 = ad.tanh(ad.add(ad.matmul(summary, ad.transpose(params.w_bridge)),
                         params.b_bridge))
-    return enc, h0
+    mask = None
+    if len(encs) > 1:
+        owner = np.repeat(np.arange(len(encs)), lengths)
+        mask = np.where(owner[None, :] == np.arange(len(encs))[:, None], 0.0, -np.inf)
+    zeros = np.zeros((len(encs), h))
+    return enc, mask, ad.concat([h0, zeros], axis=1), ad.tensor(zeros)
 
 
-def _decoder_step(params: ParserParams, prev_id: int, h, c, feed, enc):
-    y = ad.embedding(params.sym_emb, np.array([prev_id], dtype=np.intp))
-    h, c = params.decoder.step(
-        params.decoder.project_inputs(ad.concat([y, feed], axis=1)), h, c)
+def _decoder_step(params: ParserParams, prev_ids, state, feed, enc, mask=None):
+    """One decoder step for B rows: previous token ids, [h | c] state and feed.
+
+    Each row attends over the stacked encoder states `enc`; the additive
+    `mask` limits it to its own utterance's rows.
+    """
+    y = ad.embedding(params.sym_emb, np.asarray(prev_ids, dtype=np.intp))
+    state = params.decoder.step(
+        params.decoder.project_inputs(ad.concat([y, feed], axis=1)), state)
+    h = ad.cols(state, 0, params.config.hidden_size)
     scores = ad.matmul(ad.matmul(h, params.w_att), ad.transpose(enc))
+    if mask is not None:
+        scores = ad.add(scores, mask)
     context = ad.matmul(ad.softmax(scores), enc)
     feed = ad.tanh(ad.add(ad.matmul(ad.concat([h, context], axis=1),
                                     ad.transpose(params.w_comb)),
                           params.b_comb))
     logits = ad.add(ad.matmul(feed, ad.transpose(params.w_out)), params.b_out)
-    return h, c, feed, logits
+    return state, feed, logits
 
 
-def _zeros(params: ParserParams) -> Tensor:
-    return ad.tensor(np.zeros((1, params.config.hidden_size)))
+def _batch_loss(params: ParserParams, utterances, tag_lists, targets) -> Tensor:
+    """Mean teacher-forced negative log-likelihood of B output sequences.
+
+    The batch runs as one padded decoder pass of max(len(target)) steps;
+    rows past the end of their target get zero weight in the loss.
+    """
+    batch, steps = len(targets), max(len(t) for t in targets)
+    bos, eos = params.out_vocab.tok2id[BOS], params.out_vocab.tok2id[EOS]
+    padded = np.full((batch, steps), eos, dtype=np.intp)
+    weights = np.zeros((steps, batch, len(params.out_vocab)))
+    for b, target in enumerate(targets):
+        padded[b, :len(target)] = target
+        weights[np.arange(len(target)), b, target] = 1.0
+    enc, mask, state, feed = _start(params, utterances, tag_lists)
+    logits = []
+    for t in range(steps):
+        prev = padded[:, t - 1] if t else np.full(batch, bos)
+        state, feed, step_logits = _decoder_step(params, prev, state, feed, enc, mask)
+        logits.append(step_logits)
+    # rows are step-major: row t * B + b holds example b at step t
+    probs = ad.softmax(ad.concat(logits, axis=0))
+    return ad.mul(ad.cross_entropy(probs, weights.reshape(steps * batch, -1)),
+                  1.0 / batch)
 
 
 def _sequence_loss(params: ParserParams, utterance, tags,
                    target_ids: np.ndarray) -> Tensor:
     """Teacher-forced negative log-likelihood of one output sequence."""
-    enc, h = _encode(params, utterance, tags)
-    c, feed = _zeros(params), _zeros(params)
-    bos = params.out_vocab.tok2id[BOS]
-    rows = []
-    for t, target in enumerate(target_ids):
-        prev = bos if t == 0 else int(target_ids[t - 1])
-        h, c, feed, logits = _decoder_step(params, prev, h, c, feed, enc)
-        rows.append(logits)
-    probs = ad.softmax(ad.concat(rows, axis=0))
-    onehot = np.zeros((len(target_ids), len(params.out_vocab)))
-    onehot[np.arange(len(target_ids)), target_ids] = 1.0
-    return ad.cross_entropy(probs, onehot)
+    return _batch_loss(params, [utterance], [tags], [target_ids])
 
 
 def _prepared(corpus, tagger_params, config) -> Tuple[list, str]:
@@ -225,27 +262,26 @@ def train_parser(corpus, tagger_params: Optional[TaggerParams],
     params = init_parser(word_vocab, out_vocab, tag_vocab, config, formalism)
 
     eos = out_vocab.tok2id[EOS]
-    tags, targets = [], []
-    for ex in examples:
-        tags.append(predict_tags(tagger_params, ex.utterance)
-                    if config.use_tags else None)
-        targets.append(np.append(out_vocab.encode(ex.meaning.tokens), eos))
+    tags = _tags(tagger_params, examples, config)
+    targets = [np.append(out_vocab.encode(ex.meaning.tokens), eos)
+               for ex in examples]
 
     optimizer = Adam(params.parameters(), lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     log = open(log_file, "w") if log_file is not None else None
     if log:
         log.write("epoch\tloss\tdev_exact_match\n")
+    # the tagger is frozen, so one prediction serves every epoch's dev decode
+    dev_tags = _tags(tagger_params, dev_corpus, config) if log and dev_corpus else []
     try:
         for epoch in range(config.epochs):
             order = rng.permutation(len(examples))
             epoch_losses = []
             for start in range(0, len(examples), config.batch_size):
                 batch = order[start:start + config.batch_size]
-                losses = [_sequence_loss(params, examples[k].utterance,
-                                         tags[k], targets[k])
-                          for k in batch]
-                loss = ad.mul(ad.add_n(losses), 1.0 / len(losses))
+                loss = _batch_loss(params, [examples[k].utterance for k in batch],
+                                   [tags[k] for k in batch],
+                                   [targets[k] for k in batch])
                 if not np.isfinite(loss.data):
                     raise ParserError(
                         f"loss diverged in epoch {epoch} at batch {start // config.batch_size}")
@@ -256,8 +292,7 @@ def train_parser(corpus, tagger_params: Optional[TaggerParams],
                 if dev_corpus:
                     hits = sum(decode(params, ex.utterance, t).tokens
                                == ex.meaning.tokens
-                               for ex, t in zip(dev_corpus,
-                                                _dev_tags(tagger_params, dev_corpus, config)))
+                               for ex, t in zip(dev_corpus, dev_tags))
                     shown = f"{hits / len(dev_corpus):.4f}"
                 log.write(f"{epoch}\t{float(np.mean(epoch_losses)):.6f}\t{shown}\n")
     finally:
@@ -266,17 +301,17 @@ def train_parser(corpus, tagger_params: Optional[TaggerParams],
     return params
 
 
-def _dev_tags(tagger_params, corpus, config):
-    for ex in corpus:
-        yield predict_tags(tagger_params, ex.utterance) if config.use_tags else None
+def _tags(tagger_params, corpus, config) -> list:
+    """Predicted tags per example, or None per example for the baseline."""
+    return [predict_tags(tagger_params, ex.utterance) if config.use_tags else None
+            for ex in corpus]
 
 
 @dataclass
 class _Hyp:
     token_ids: tuple
     score: float
-    h: Tensor
-    c: Tensor
+    state: Tensor
     feed: Tensor
 
 
@@ -299,23 +334,23 @@ def decode(params: ParserParams, utterance, tags=None,
            config: DecodeConfig = DecodeConfig()) -> DecodeResult:
     """Beam search for the highest-likelihood output sequence."""
     with ad.no_grad():
-        enc, h0 = _encode(params, utterance, tags)
+        enc, _, state, feed = _start(params, [utterance], [tags])
         eos = params.out_vocab.tok2id[EOS]
         bos = params.out_vocab.tok2id[BOS]
-        alive = [_Hyp((), 0.0, h0, _zeros(params), _zeros(params))]
+        alive = [_Hyp((), 0.0, state, feed)]
         completed: List[_Hyp] = []
         for _ in range(config.max_length):
             candidates = []
             for hyp in alive:
                 prev = hyp.token_ids[-1] if hyp.token_ids else bos
-                h, c, feed, logits = _decoder_step(params, prev, hyp.h, hyp.c,
-                                                   hyp.feed, enc)
+                state, feed, logits = _decoder_step(params, [prev], hyp.state,
+                                                    hyp.feed, enc)
                 logp = np.log(np.maximum(ad.softmax(logits).data[0], 1e-300))
                 # stable sort so score ties resolve to the lowest token id
                 for tok in np.argsort(-logp, kind="stable")[:config.beam_size]:
                     candidates.append(_Hyp(hyp.token_ids + (int(tok),),
                                            hyp.score + float(logp[tok]),
-                                           h, c, feed))
+                                           state, feed))
             candidates.sort(key=lambda cand: -cand.score)
             alive = []
             for cand in candidates[:config.beam_size]:
@@ -325,20 +360,13 @@ def decode(params: ParserParams, utterance, tags=None,
                     alive.append(cand)
             if not alive:
                 break
-            if completed and not config.length_normalize:
-                # token log-probs are <= 0, so no live hypothesis can
-                # overtake the best finished one once it falls behind
-                if max(c.score for c in completed) >= max(a.score for a in alive):
-                    break
-
-    def ranking(hyp: _Hyp) -> float:
-        if config.length_normalize:
-            return hyp.score / max(len(hyp.token_ids), 1)
-        return hyp.score
+            # token log-probs are <= 0, so no live hypothesis can
+            # overtake the best finished one once it falls behind
+            if completed and max(c.score for c in completed) >= max(a.score for a in alive):
+                break
 
     truncated = not completed
-    pool = completed or alive
-    best = max(pool, key=ranking)
+    best = max(completed or alive, key=lambda hyp: hyp.score)
     ids = best.token_ids[:-1] if not truncated else best.token_ids
     return DecodeResult(tokens=tuple(params.out_vocab.decode(ids)),
                         token_ids=tuple(int(i) for i in ids),
@@ -400,6 +428,5 @@ def load_parser(path) -> ParserParams:
                          Vocab(out_list[1:], unk=out_list[0]),
                          TagVocabulary(meta["tag_vocab"][2:]),
                          ParserConfig(**meta["config"]), meta["formalism"])
-    for p in params.parameters():
-        p.data = values[p.name].reshape(p.data.shape)
+    restore_parameters(params.parameters(), values)
     return params

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, restore_parameters, save_checkpoint
 from .nn import BiLstmEncoder, Vocab
 
 __all__ = ["NULL_TAG", "UNK_TAG", "TagVocabulary", "TaggerConfig",
@@ -177,6 +177,5 @@ def load_tagger(path) -> TaggerParams:
     word_vocab = Vocab(id2tok[1:], unk=id2tok[0])
     tag_vocab = TagVocabulary(meta["tag_vocab"][2:])
     params = init_tagger(word_vocab, tag_vocab, TaggerConfig(**meta["config"]))
-    for p in params.parameters():
-        p.data = values[p.name].reshape(p.data.shape)
+    restore_parameters(params.parameters(), values)
     return params

@@ -1,0 +1,121 @@
+"""Reference paths that the fused, batched recurrent code replaced.
+
+They compute the same functions out of small autodiff ops: the LSTM cell
+as a per-gate chain of column slices, sigmoids, tanhs and products run
+one (1, 4H) row at a time, the encoder with one concat per word, and the
+parser loss as the mean of per-example teacher-forced losses.  Tests
+compare the library against them; the package never uses them.
+"""
+
+import contextlib
+
+import numpy as np
+
+from tagparse import autodiff as ad
+from tagparse.parser import BOS, embed_inputs
+
+
+def gate_step(cell, xproj_t, h, c):
+    """One LSTM step as a per-gate chain; h and c are separate (B, H) tensors."""
+    H = cell.hidden_size
+    gates = ad.add(xproj_t, ad.matmul(h, ad.transpose(cell.wh)))
+    i = ad.sigmoid(ad.cols(gates, 0, H))
+    f = ad.sigmoid(ad.cols(gates, H, 2 * H))
+    o = ad.sigmoid(ad.cols(gates, 2 * H, 3 * H))
+    g = ad.tanh(ad.cols(gates, 3 * H, 4 * H))
+    c_next = ad.add(ad.mul(f, c), ad.mul(i, g))
+    h_next = ad.mul(o, ad.tanh(c_next))
+    return h_next, c_next
+
+
+def gate_run(cell, xs, reverse=False):
+    """Per-step (1, H) states over an (n, I) sequence, in input order."""
+    n = xs.data.shape[0]
+    xproj = cell.project_inputs(xs)
+    h = ad.tensor(np.zeros((1, cell.hidden_size)))
+    c = ad.tensor(np.zeros((1, cell.hidden_size)))
+    states = []
+    for t in (range(n - 1, -1, -1) if reverse else range(n)):
+        h, c = gate_step(cell, ad.rows(xproj, t, t + 1), h, c)
+        states.append(h)
+    if reverse:
+        states.reverse()
+    return states
+
+
+def gate_encode(encoder, xs):
+    """Stacked bidirectional encoding with one concat per word."""
+    current = xs
+    for fwd, bwd in encoder.layers:
+        per_word = [ad.concat([f, b], axis=1)
+                    for f, b in zip(gate_run(fwd, current),
+                                    gate_run(bwd, current, reverse=True))]
+        current = ad.concat(per_word, axis=0)
+    return current
+
+
+@contextlib.contextmanager
+def per_gate_cells(cells):
+    """Swap each cell's fused `run` and `step` for the per-gate chain."""
+
+    def patch(cell):
+        H = cell.hidden_size
+
+        def step(xproj, state):
+            h, c = gate_step(cell, xproj, ad.cols(state, 0, H), ad.cols(state, H, 2 * H))
+            return ad.concat([h, c], axis=1)
+
+        def run(xs, reverse=False):
+            return ad.concat(gate_run(cell, xs, reverse), axis=0)
+
+        cell.step, cell.run = step, run
+
+    cells = list(cells)
+    for cell in cells:
+        patch(cell)
+    try:
+        yield
+    finally:
+        for cell in cells:
+            del cell.step, cell.run
+
+
+def parser_cells(params):
+    return [cell for layer in params.encoder.layers for cell in layer] + [params.decoder]
+
+
+def sequence_loss(params, utterance, tags, target_ids):
+    """Teacher-forced NLL of one example, built one 1-row op at a time."""
+    enc = gate_encode(params.encoder, embed_inputs(params, utterance, tags))
+    n, H = enc.data.shape[0], params.config.hidden_size
+    summary = ad.concat([ad.cols(ad.rows(enc, n - 1, n), 0, H),
+                         ad.cols(ad.rows(enc, 0, 1), H, 2 * H)], axis=1)
+    h = ad.tanh(ad.add(ad.matmul(summary, ad.transpose(params.w_bridge)),
+                       params.b_bridge))
+    c = ad.tensor(np.zeros((1, H)))
+    feed = ad.tensor(np.zeros((1, H)))
+    bos = params.out_vocab.tok2id[BOS]
+    rows = []
+    for t in range(len(target_ids)):
+        prev = bos if t == 0 else int(target_ids[t - 1])
+        y = ad.embedding(params.sym_emb, np.array([prev], dtype=np.intp))
+        h, c = gate_step(params.decoder,
+                         params.decoder.project_inputs(ad.concat([y, feed], axis=1)),
+                         h, c)
+        scores = ad.matmul(ad.matmul(h, params.w_att), ad.transpose(enc))
+        context = ad.matmul(ad.softmax(scores), enc)
+        feed = ad.tanh(ad.add(ad.matmul(ad.concat([h, context], axis=1),
+                                        ad.transpose(params.w_comb)),
+                              params.b_comb))
+        rows.append(ad.add(ad.matmul(feed, ad.transpose(params.w_out)), params.b_out))
+    probs = ad.softmax(ad.concat(rows, axis=0))
+    onehot = np.zeros((len(target_ids), len(params.out_vocab)))
+    onehot[np.arange(len(target_ids)), target_ids] = 1.0
+    return ad.cross_entropy(probs, onehot)
+
+
+def mean_loss(params, utterances, tag_lists, targets):
+    """Minibatch loss as the mean of per-example losses."""
+    losses = [sequence_loss(params, u, t, y)
+              for u, t, y in zip(utterances, tag_lists, targets)]
+    return ad.mul(ad.add_n(losses), 1.0 / len(losses))

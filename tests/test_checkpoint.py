@@ -63,3 +63,52 @@ def test_shape_value_count_mismatch(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match="w"):
         load_checkpoint(path)
+
+
+def saved_models(tmp_path):
+    """A tiny tagger and parser checkpoint, each with its loader."""
+    from tagparse.parser import load_parser, save_parser
+    from tagparse.tagger import load_tagger, save_tagger
+    from tests.test_parser import tiny_parser
+    from tests.test_tagger import small_params
+    tagger, parser = tmp_path / "tagger.json", tmp_path / "parser.json"
+    save_tagger(tagger, small_params())
+    save_parser(parser, tiny_parser())
+    return {"tagger": (tagger, load_tagger), "parser": (parser, load_parser)}
+
+
+def edit_params(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc["params"])
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind", ["tagger", "parser"])
+def test_missing_parameter_named(tmp_path, kind):
+    path, load = saved_models(tmp_path)[kind]
+    name = f"{kind}.b_out"
+    edit_params(path, lambda params: params.pop(name))
+    with pytest.raises(CheckpointError, match=f"lacks parameter '{name}'"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", ["tagger", "parser"])
+def test_extra_parameter_named(tmp_path, kind):
+    path, load = saved_models(tmp_path)[kind]
+    edit_params(path, lambda params: params.update(
+        {f"{kind}.stray": {"shape": [2], "values": [0.0, 1.0]}}))
+    with pytest.raises(CheckpointError, match=f"unexpected parameter '{kind}.stray'"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", ["tagger", "parser"])
+def test_wrong_shape_named(tmp_path, kind):
+    path, load = saved_models(tmp_path)[kind]
+    name = f"{kind}.w_out"
+
+    def transpose(params):
+        params[name]["shape"] = params[name]["shape"][::-1]
+
+    edit_params(path, transpose)
+    with pytest.raises(CheckpointError, match=f"parameter '{name}': checkpoint shape"):
+        load(path)

@@ -164,6 +164,18 @@ def test_parse_tagged_checkpoint_requires_tagger(pipeline, capsys):
     assert "--tagger" in err
 
 
+def test_parse_with_bad_checkpoint_is_one_line_error(pipeline, tmp_path, capsys):
+    doc = json.loads(pipeline["baseline"].read_text())
+    del doc["params"]["parser.w_att"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "parse",
+                           "--corpus", str(pipeline["corpus"]),
+                           "--parser", str(broken))
+    assert code == 1
+    assert err.splitlines() == ["error: checkpoint lacks parameter 'parser.w_att'"]
+
+
 def test_evaluate_reports_id_mismatch(pipeline, tmp_path, capsys):
     broken = tmp_path / "broken.jsonl"
     rows = pipeline["pred"].read_text().splitlines()

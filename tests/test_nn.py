@@ -39,7 +39,7 @@ def test_reversal_swaps_directional_states():
     fwd = cell.run(ad.tensor(x))
     bwd = cell.run(ad.tensor(x[::-1].copy()), reverse=True)
     for t in range(5):
-        np.testing.assert_allclose(fwd[t].data, bwd[4 - t].data, atol=1e-12)
+        np.testing.assert_allclose(fwd.data[t], bwd.data[4 - t], atol=1e-12)
 
 
 def test_stacked_layers_change_input_size():

@@ -8,7 +8,7 @@ from tagparse.data import anonymize_entities, gen_synthetic
 from tagparse.em import EmConfig, train_tagger
 from tagparse.nn import Vocab
 from tagparse.parser import (BOS, EOS, DecodeConfig, ParserConfig,
-                             ParserError, _decoder_step, _encode, _zeros,
+                             ParserError, _decoder_step, _start,
                              decode, embed_inputs, init_parser, load_parser,
                              parse, save_parser, train_parser)
 from tagparse.tagger import NULL_TAG, TaggerConfig, TagVocabulary
@@ -99,13 +99,12 @@ def test_train_rejects_bad_inputs():
 
 def greedy_oracle(params, utterance, tags, max_length):
     with ad.no_grad():
-        enc, h = _encode(params, utterance, tags)
-        c, feed = _zeros(params), _zeros(params)
+        enc, _, state, feed = _start(params, [utterance], [tags])
         prev = params.out_vocab.tok2id[BOS]
         eos = params.out_vocab.tok2id[EOS]
         ids, score = [], 0.0
         for _ in range(max_length):
-            h, c, feed, logits = _decoder_step(params, prev, h, c, feed, enc)
+            state, feed, logits = _decoder_step(params, [prev], state, feed, enc)
             logp = np.log(ad.softmax(logits).data[0])
             prev = int(np.argmax(logp))
             score += float(logp[prev])
@@ -209,6 +208,42 @@ def test_training_loss_descends(tmp_path):
     assert lines[0] == "epoch\tloss\tdev_exact_match"
     losses = [float(line.split("\t")[1]) for line in lines[1:]]
     assert losses[-1] < losses[0]
+
+
+def test_dev_tags_predicted_once(trained, tmp_path, monkeypatch):
+    import tagparse.parser as parser_module
+    corpus, tagger, _ = trained
+    train, dev = corpus[:6], corpus[6:]
+    dev_utterances = {ex.utterance for ex in dev}
+    predict, decode_ = parser_module.predict_tags, parser_module.decode
+    tagged, decoded = [], []
+
+    def counting_predict(params, utterance):
+        tagged.append(utterance)
+        return predict(params, utterance)
+
+    def recording_decode(params, utterance, tags=None, config=DecodeConfig()):
+        decoded.append((utterance, tags))
+        return decode_(params, utterance, tags, config)
+
+    monkeypatch.setattr(parser_module, "predict_tags", counting_predict)
+    monkeypatch.setattr(parser_module, "decode", recording_decode)
+    log = tmp_path / "parser.tsv"
+    params = train_parser(train, tagger,
+                          ParserConfig(word_embedding_size=8, tag_embedding_size=8,
+                                       hidden_size=12, epochs=3, batch_size=4,
+                                       learning_rate=0.02, seed=0),
+                          dev_corpus=dev, log_file=log)
+    assert sum(u in dev_utterances for u in tagged) == len(dev)
+    # every epoch's dev decode gets the tags a fresh prediction gives, so
+    # the logged dev column is what re-tagging each epoch would log
+    assert len(decoded) == 3 * len(dev)
+    for utterance, tags in decoded:
+        np.testing.assert_array_equal(tags, predict(tagger, utterance))
+    last = log.read_text().splitlines()[-1].split("\t")
+    hits = sum(decode_(params, ex.utterance, predict(tagger, ex.utterance)).tokens
+               == ex.meaning.tokens for ex in dev)
+    assert last[0] == "2" and last[2] == f"{hits / len(dev):.4f}"
 
 
 def test_training_deterministic_checkpoints(tmp_path):
