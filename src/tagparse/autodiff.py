@@ -26,14 +26,11 @@ __all__ = [
     "tensor",
     "parameter",
     "no_grad",
-    "grad_enabled",
     "add",
-    "sub",
     "mul",
     "matmul",
     "transpose",
     "concat",
-    "rows",
     "cols",
     "sigmoid",
     "tanh",
@@ -43,7 +40,6 @@ __all__ = [
     "embedding",
     "cross_entropy",
     "tsum",
-    "tmean",
     "add_n",
     "backward",
     "glorot",
@@ -74,10 +70,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """A node in the computation graph.
 
@@ -103,23 +95,6 @@ class Tensor:
     def __repr__(self):
         tag = self.name or ("param" if self.needs_grad and not self.parents else "tensor")
         return f"Tensor({tag}, shape={self.data.shape})"
-
-    # Operator sugar; the free functions do the real work.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 def tensor(data) -> Tensor:
@@ -166,20 +141,6 @@ def add(a, b) -> Tensor:
 
     def bwd(g):
         return _unbroadcast(g, ash), _unbroadcast(g, bsh)
-
-    return _node(out, (a, b), bwd)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: cannot broadcast {a.data.shape} with {b.data.shape}")
-    ash, bsh = a.data.shape, b.data.shape
-
-    def bwd(g):
-        return _unbroadcast(g, ash), _unbroadcast(-g, bsh)
 
     return _node(out, (a, b), bwd)
 
@@ -248,21 +209,6 @@ def concat(parts: Sequence, axis: int = 1) -> Tensor:
         return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts)))
 
     return _node(out, tuple(parts), bwd)
-
-
-def rows(a, start: int, stop: int) -> Tensor:
-    """Select the row block [start, stop) of a 2-d tensor."""
-    a = _coerce(a)
-    ash = a.data.shape
-    if a.data.ndim != 2 or not (0 <= start < stop <= ash[0]):
-        raise ShapeError(f"rows: bad slice [{start}:{stop}) for shape {ash}")
-
-    def bwd(g):
-        full = np.zeros(ash)
-        full[start:stop] = g
-        return (full,)
-
-    return _node(a.data[start:stop].copy(), (a,), bwd)
 
 
 def cols(a, start: int, stop: int) -> Tensor:
@@ -473,18 +419,6 @@ def tsum(a) -> Tensor:
         return (np.full(ash, g),)
 
     return _node(np.asarray(a.data.sum()), (a,), bwd)
-
-
-def tmean(a) -> Tensor:
-    """Mean of all entries as a scalar."""
-    a = _coerce(a)
-    ash = a.data.shape
-    n = a.data.size
-
-    def bwd(g):
-        return (np.full(ash, g / n),)
-
-    return _node(np.asarray(a.data.mean()), (a,), bwd)
 
 
 def add_n(parts: Sequence) -> Tensor:

@@ -24,7 +24,7 @@ import numpy as np
 from .autodiff import Tensor
 
 __all__ = ["FORMAT_VERSION", "CheckpointError", "save_checkpoint", "load_checkpoint",
-           "restore_parameters"]
+           "config_from_meta", "restore_parameters"]
 
 FORMAT_VERSION = 1
 
@@ -60,25 +60,55 @@ def save_checkpoint(path, params: Sequence[Tensor] | Dict[str, np.ndarray],
         json.dump(doc, f, sort_keys=True, separators=(",", ":"))
 
 
-def load_checkpoint(path, expect_kind: str | None = None) -> Tuple[Dict[str, np.ndarray], dict]:
-    """Read a checkpoint; returns ({name: float64 array}, meta)."""
+def load_checkpoint(path, expect_kind: str | None = None,
+                    meta_keys: Sequence[str] = ()) -> Tuple[Dict[str, np.ndarray], dict]:
+    """Read a checkpoint; returns ({name: float64 array}, meta).
+
+    A malformed container, or a `meta` that lacks one of `meta_keys`,
+    raises CheckpointError naming the fault.
+    """
     with open(path) as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint is a JSON {type(doc).__name__}, not an object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint format_version {version!r} (expected {FORMAT_VERSION})")
     if expect_kind is not None and doc.get("kind") != expect_kind:
         raise CheckpointError(f"checkpoint kind {doc.get('kind')!r}, expected {expect_kind!r}")
+    entries, meta = doc.get("params"), doc.get("meta", {})
+    if not isinstance(entries, dict):
+        raise CheckpointError("checkpoint has no 'params' object")
+    if not isinstance(meta, dict):
+        raise CheckpointError("checkpoint 'meta' is not an object")
+    for key in meta_keys:
+        if key not in meta:
+            raise CheckpointError(f"checkpoint meta lacks '{key}'")
     params = {}
-    for name, entry in doc["params"].items():
-        shape = tuple(entry["shape"])
-        values = np.asarray(entry["values"], dtype=np.float64)
+    for name, entry in entries.items():
+        if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
+            raise CheckpointError(f"parameter '{name}' lacks 'shape' or 'values'")
+        try:
+            shape = tuple(int(d) for d in entry["shape"])
+            values = np.asarray(entry["values"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise CheckpointError(f"parameter '{name}': malformed 'shape' or 'values'")
         expected = int(np.prod(shape)) if shape else 1
         if values.size != expected:
             raise CheckpointError(f"parameter '{name}': {values.size} values for shape {shape}")
         params[name] = values.reshape(shape)
-    return params, doc.get("meta", {})
+    return params, meta
+
+
+def config_from_meta(cls, fields):
+    """Rebuild the config dataclass `cls` from a checkpoint's meta echo."""
+    if not isinstance(fields, dict):
+        raise CheckpointError("checkpoint config is not an object")
+    for key in fields:
+        if key not in cls.__dataclass_fields__:
+            raise CheckpointError(f"checkpoint config has unknown field '{key}'")
+    return cls(**fields)
 
 
 def restore_parameters(params: Sequence[Tensor], values: Dict[str, np.ndarray]) -> None:

@@ -112,7 +112,7 @@ def _cmd_train_tagger(args):
         raise EmError("give --seed or a config file with a seed")
     tagger_config = TaggerConfig(**_read_json(args.model_config)) \
         if args.model_config else TaggerConfig()
-    params = train_tagger(corpus, EmConfig.from_dict(em_fields),
+    params = train_tagger(corpus, EmConfig(**em_fields),
                           log_file=args.log, tagger_config=tagger_config)
     save_tagger(args.out, params)
     print(f"wrote tagger checkpoint to {args.out}")

@@ -43,8 +43,7 @@ from .tagger import (TagDistribution, TaggerConfig, TaggerParams,
 
 __all__ = ["EmError", "EmConfig", "AlignmentPosterior", "PROB_FLOOR",
            "compute_posteriors", "fix_linked_posteriors", "harden_posteriors",
-           "soft_em_loss", "hard_em_loss", "gold_tag_ids", "tag_accuracy",
-           "train_tagger"]
+           "em_loss", "gold_tag_ids", "tag_accuracy", "train_tagger"]
 
 PROB_FLOOR = 1e-12
 
@@ -74,10 +73,6 @@ class EmConfig:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EmConfig":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -167,25 +162,12 @@ def harden_posteriors(posterior: AlignmentPosterior, beta: float) -> AlignmentPo
     return replace(posterior, matrix=hard, mode="hard")
 
 
-def _weighted_loss(dist: TagDistribution, posterior: AlignmentPosterior) -> Tensor:
+def em_loss(dist: TagDistribution, posterior: AlignmentPosterior) -> Tensor:
+    """-J for a soft or hard posterior; gradient flows only through the log-probs."""
     weights = np.zeros_like(dist.matrix)
     for j in range(posterior.n):
         weights[:, posterior.tag_ids[j]] += posterior.matrix[:, j]
     return ad.cross_entropy(dist.probs, weights, floor=PROB_FLOOR)
-
-
-def soft_em_loss(dist: TagDistribution, posterior: AlignmentPosterior) -> Tensor:
-    """-J with soft weights; gradient flows only through the log-probs."""
-    if posterior.mode != "soft":
-        raise EmError(f"soft_em_loss needs a soft posterior, got {posterior.mode!r}")
-    return _weighted_loss(dist, posterior)
-
-
-def hard_em_loss(dist: TagDistribution, posterior: AlignmentPosterior) -> Tensor:
-    """-J with discretized weights."""
-    if posterior.mode != "hard":
-        raise EmError(f"hard_em_loss needs a hard posterior, got {posterior.mode!r}")
-    return _weighted_loss(dist, posterior)
 
 
 def gold_tag_ids(example, tag_vocab: TagVocabulary) -> np.ndarray:
@@ -260,9 +242,7 @@ def train_tagger(corpus, config: EmConfig, dev_corpus=None, log_file=None,
                 posterior = compute_posteriors(dist, ex.symbol_set)
                 if phase == "hard":
                     posterior = harden_posteriors(posterior, config.beta)
-                    losses.append(hard_em_loss(dist, posterior))
-                else:
-                    losses.append(soft_em_loss(dist, posterior))
+                losses.append(em_loss(dist, posterior))
             loss = ad.mul(ad.add_n(losses), 1.0 / len(losses))
             if not np.isfinite(loss.data):
                 raise EmError(f"loss diverged at step {step}")

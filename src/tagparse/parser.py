@@ -13,9 +13,10 @@ triples; the tags come from a trained tagger, never from gold
 alignments.  Each minibatch runs as one padded decoder pass: B rows
 advance together, each attending over its own utterance's encoder
 states through an additive mask, and padded steps carry zero loss.
-Decoding is beam search over output tokens; beam size 1 is greedy
-decoding.  If no hypothesis finishes within the length budget the best
-partial sequence is returned with a truncation flag.
+Decoding is beam search over output tokens, with the live hypotheses
+as the rows of one decoder step; beam size 1 is greedy decoding.  If no
+hypothesis finishes within the length budget the best partial sequence
+is returned with a truncation flag.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import load_checkpoint, restore_parameters, save_checkpoint
+from .checkpoint import (config_from_meta, load_checkpoint, restore_parameters,
+                         save_checkpoint)
 from .data import MeaningRepresentation, deanonymize_tokens
 from .nn import BiLstmEncoder, LstmCell, Vocab
 from .optim import Adam
@@ -307,14 +309,6 @@ def _tags(tagger_params, corpus, config) -> list:
             for ex in corpus]
 
 
-@dataclass
-class _Hyp:
-    token_ids: tuple
-    score: float
-    state: Tensor
-    feed: Tensor
-
-
 @dataclass(frozen=True)
 class DecodeResult:
     tokens: Tuple[str, ...]              # output tokens, end marker stripped
@@ -332,45 +326,40 @@ class DecodeResult:
 
 def decode(params: ParserParams, utterance, tags=None,
            config: DecodeConfig = DecodeConfig()) -> DecodeResult:
-    """Beam search for the highest-likelihood output sequence."""
+    """Beam search for the highest-likelihood output sequence.
+
+    The live hypotheses are the rows of one decoder step per time step.
+    All live x |out| extensions are ranked by score together; ties go to
+    the earlier hypothesis, then to the lower token id.
+    """
+    eos = params.out_vocab.tok2id[EOS]
     with ad.no_grad():
         enc, _, state, feed = _start(params, [utterance], [tags])
-        eos = params.out_vocab.tok2id[EOS]
-        bos = params.out_vocab.tok2id[BOS]
-        alive = [_Hyp((), 0.0, state, feed)]
-        completed: List[_Hyp] = []
+        prev, seqs, scores = [params.out_vocab.tok2id[BOS]], [()], np.zeros(1)
+        completed = []                   # (score, token ids without the end marker)
         for _ in range(config.max_length):
-            candidates = []
-            for hyp in alive:
-                prev = hyp.token_ids[-1] if hyp.token_ids else bos
-                state, feed, logits = _decoder_step(params, [prev], hyp.state,
-                                                    hyp.feed, enc)
-                logp = np.log(np.maximum(ad.softmax(logits).data[0], 1e-300))
-                # stable sort so score ties resolve to the lowest token id
-                for tok in np.argsort(-logp, kind="stable")[:config.beam_size]:
-                    candidates.append(_Hyp(hyp.token_ids + (int(tok),),
-                                           hyp.score + float(logp[tok]),
-                                           state, feed))
-            candidates.sort(key=lambda cand: -cand.score)
-            alive = []
-            for cand in candidates[:config.beam_size]:
-                if cand.token_ids[-1] == eos:
-                    completed.append(cand)
-                else:
-                    alive.append(cand)
-            if not alive:
+            state, feed, logits = _decoder_step(params, prev, state, feed, enc)
+            logp = np.log(np.maximum(ad.softmax(logits).data, 1e-300))
+            totals = (scores[:, None] + logp).ravel()
+            best = np.argsort(-totals, kind="stable")[:config.beam_size]
+            rows, prev = np.divmod(best, logp.shape[1])
+            ended = prev == eos
+            completed += [(totals[k], seqs[r]) for k, r in zip(best[ended], rows[ended])]
+            if ended.all():
                 break
+            rows, prev, scores = rows[~ended], prev[~ended], totals[best[~ended]]
+            seqs = [seqs[r] + (int(t),) for r, t in zip(rows, prev)]
+            state, feed = ad.tensor(state.data[rows]), ad.tensor(feed.data[rows])
             # token log-probs are <= 0, so no live hypothesis can
             # overtake the best finished one once it falls behind
-            if completed and max(c.score for c in completed) >= max(a.score for a in alive):
+            if completed and max(c[0] for c in completed) >= scores.max():
                 break
 
     truncated = not completed
-    best = max(completed or alive, key=lambda hyp: hyp.score)
-    ids = best.token_ids[:-1] if not truncated else best.token_ids
-    return DecodeResult(tokens=tuple(params.out_vocab.decode(ids)),
-                        token_ids=tuple(int(i) for i in ids),
-                        score=best.score, truncated=truncated,
+    score, ids = (max(completed, key=lambda c: c[0]) if completed
+                  else (scores.max(), seqs[int(np.argmax(scores))]))
+    return DecodeResult(tokens=tuple(params.out_vocab.decode(ids)), token_ids=ids,
+                        score=float(score), truncated=truncated,
                         formalism=params.formalism)
 
 
@@ -422,11 +411,13 @@ def save_parser(path, params: ParserParams) -> None:
 
 
 def load_parser(path) -> ParserParams:
-    values, meta = load_checkpoint(path, expect_kind="parser")
+    values, meta = load_checkpoint(path, "parser", ("word_vocab", "out_vocab",
+                                                    "tag_vocab", "formalism", "config"))
     word_list, out_list = meta["word_vocab"], meta["out_vocab"]
     params = init_parser(Vocab(word_list[1:], unk=word_list[0]),
                          Vocab(out_list[1:], unk=out_list[0]),
                          TagVocabulary(meta["tag_vocab"][2:]),
-                         ParserConfig(**meta["config"]), meta["formalism"])
+                         config_from_meta(ParserConfig, meta["config"]),
+                         meta["formalism"])
     restore_parameters(params.parameters(), values)
     return params

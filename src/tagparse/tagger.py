@@ -21,7 +21,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import load_checkpoint, restore_parameters, save_checkpoint
+from .checkpoint import (config_from_meta, load_checkpoint, restore_parameters,
+                         save_checkpoint)
 from .nn import BiLstmEncoder, Vocab
 
 __all__ = ["NULL_TAG", "UNK_TAG", "TagVocabulary", "TaggerConfig",
@@ -172,10 +173,10 @@ def save_tagger(path, params: TaggerParams) -> None:
 
 
 def load_tagger(path) -> TaggerParams:
-    values, meta = load_checkpoint(path, expect_kind="tagger")
+    values, meta = load_checkpoint(path, "tagger", ("word_vocab", "tag_vocab", "config"))
     id2tok = meta["word_vocab"]
     word_vocab = Vocab(id2tok[1:], unk=id2tok[0])
     tag_vocab = TagVocabulary(meta["tag_vocab"][2:])
-    params = init_tagger(word_vocab, tag_vocab, TaggerConfig(**meta["config"]))
+    params = init_tagger(word_vocab, tag_vocab, config_from_meta(TaggerConfig, meta["config"]))
     restore_parameters(params.parameters(), values)
     return params

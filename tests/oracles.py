@@ -2,17 +2,20 @@
 
 They compute the same functions out of small autodiff ops: the LSTM cell
 as a per-gate chain of column slices, sigmoids, tanhs and products run
-one (1, 4H) row at a time, the encoder with one concat per word, and the
-parser loss as the mean of per-example teacher-forced losses.  Tests
-compare the library against them; the package never uses them.
+one (1, 4H) row at a time, the encoder with one concat per word, the
+parser loss as the mean of per-example teacher-forced losses, and beam
+search with one decoder step per hypothesis.  Tests compare the library
+against them; the package never uses them.
 """
 
 import contextlib
+from dataclasses import dataclass
 
 import numpy as np
 
 from tagparse import autodiff as ad
-from tagparse.parser import BOS, embed_inputs
+from tagparse.parser import (BOS, EOS, DecodeResult, _decoder_step, _start,
+                             embed_inputs)
 
 
 def gate_step(cell, xproj_t, h, c):
@@ -36,7 +39,7 @@ def gate_run(cell, xs, reverse=False):
     c = ad.tensor(np.zeros((1, cell.hidden_size)))
     states = []
     for t in (range(n - 1, -1, -1) if reverse else range(n)):
-        h, c = gate_step(cell, ad.rows(xproj, t, t + 1), h, c)
+        h, c = gate_step(cell, ad.embedding(xproj, [t]), h, c)
         states.append(h)
     if reverse:
         states.reverse()
@@ -88,8 +91,8 @@ def sequence_loss(params, utterance, tags, target_ids):
     """Teacher-forced NLL of one example, built one 1-row op at a time."""
     enc = gate_encode(params.encoder, embed_inputs(params, utterance, tags))
     n, H = enc.data.shape[0], params.config.hidden_size
-    summary = ad.concat([ad.cols(ad.rows(enc, n - 1, n), 0, H),
-                         ad.cols(ad.rows(enc, 0, 1), H, 2 * H)], axis=1)
+    summary = ad.concat([ad.cols(ad.embedding(enc, [n - 1]), 0, H),
+                         ad.cols(ad.embedding(enc, [0]), H, 2 * H)], axis=1)
     h = ad.tanh(ad.add(ad.matmul(summary, ad.transpose(params.w_bridge)),
                        params.b_bridge))
     c = ad.tensor(np.zeros((1, H)))
@@ -119,3 +122,50 @@ def mean_loss(params, utterances, tag_lists, targets):
     losses = [sequence_loss(params, u, t, y)
               for u, t, y in zip(utterances, tag_lists, targets)]
     return ad.mul(ad.add_n(losses), 1.0 / len(losses))
+
+
+@dataclass
+class Hyp:
+    token_ids: tuple
+    score: float
+    state: ad.Tensor
+    feed: ad.Tensor
+
+
+def beam_decode(params, utterance, tags, config):
+    """Beam search with one 1-row decoder step per live hypothesis.
+
+    Each hypothesis proposes its top `beam_size` tokens (ties to the
+    lowest id); a stable sort by score then keeps hypothesis order.
+    """
+    with ad.no_grad():
+        enc, _, state, feed = _start(params, [utterance], [tags])
+        eos = params.out_vocab.tok2id[EOS]
+        bos = params.out_vocab.tok2id[BOS]
+        alive = [Hyp((), 0.0, state, feed)]
+        completed = []
+        for _ in range(config.max_length):
+            candidates = []
+            for hyp in alive:
+                prev = hyp.token_ids[-1] if hyp.token_ids else bos
+                state, feed, logits = _decoder_step(params, [prev], hyp.state,
+                                                    hyp.feed, enc)
+                logp = np.log(np.maximum(ad.softmax(logits).data[0], 1e-300))
+                for tok in np.argsort(-logp, kind="stable")[:config.beam_size]:
+                    candidates.append(Hyp(hyp.token_ids + (int(tok),),
+                                          hyp.score + float(logp[tok]),
+                                          state, feed))
+            candidates.sort(key=lambda cand: -cand.score)
+            alive = []
+            for cand in candidates[:config.beam_size]:
+                (completed if cand.token_ids[-1] == eos else alive).append(cand)
+            if not alive:
+                break
+            if completed and max(c.score for c in completed) >= max(a.score for a in alive):
+                break
+    truncated = not completed
+    best = max(completed or alive, key=lambda hyp: hyp.score)
+    ids = best.token_ids if truncated else best.token_ids[:-1]
+    return DecodeResult(tokens=tuple(params.out_vocab.decode(ids)), token_ids=ids,
+                        score=best.score, truncated=truncated,
+                        formalism=params.formalism)

@@ -65,6 +65,17 @@ def test_shape_value_count_mismatch(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("field, value", [("shape", "2x2"), ("values", ["a"] * 4)])
+def test_malformed_entry_named(tmp_path, field, value):
+    path = tmp_path / "bad.json"
+    save_checkpoint(path, {"w": np.ones((2, 2))}, kind="x")
+    doc = json.loads(path.read_text())
+    doc["params"]["w"][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="parameter 'w': malformed"):
+        load_checkpoint(path)
+
+
 def saved_models(tmp_path):
     """A tiny tagger and parser checkpoint, each with its loader."""
     from tagparse.parser import load_parser, save_parser
@@ -111,4 +122,19 @@ def test_wrong_shape_named(tmp_path, kind):
 
     edit_params(path, transpose)
     with pytest.raises(CheckpointError, match=f"parameter '{name}': checkpoint shape"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", ["tagger", "parser"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: meta.pop("tag_vocab"), "checkpoint meta lacks 'tag_vocab'"),
+    (lambda meta: meta["config"].update(dropout=0.1),
+     "checkpoint config has unknown field 'dropout'"),
+])
+def test_meta_fault_named(tmp_path, kind, edit, message):
+    path, load = saved_models(tmp_path)[kind]
+    doc = json.loads(path.read_text())
+    edit(doc["meta"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=message):
         load(path)

@@ -176,6 +176,45 @@ def test_parse_with_bad_checkpoint_is_one_line_error(pipeline, tmp_path, capsys)
     assert err.splitlines() == ["error: checkpoint lacks parameter 'parser.w_att'"]
 
 
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+MALFORMED_CHECKPOINTS = {
+    "meta without word_vocab": (
+        lambda d: {**d, "meta": _without(d["meta"], "word_vocab")},
+        "checkpoint meta lacks 'word_vocab'"),
+    "unknown config field": (
+        lambda d: {**d, "meta": {**d["meta"],
+                                 "config": {**d["meta"]["config"], "dropout": 0.5}}},
+        "checkpoint config has unknown field 'dropout'"),
+    "no params": (
+        lambda d: _without(d, "params"),
+        "checkpoint has no 'params' object"),
+    "json list": (
+        lambda d: [d],
+        "checkpoint is a JSON list, not an object"),
+    "entry without shape": (
+        lambda d: {**d, "params": {**d["params"],
+                                   "parser.w_att": _without(d["params"]["parser.w_att"],
+                                                            "shape")}},
+        "parameter 'parser.w_att' lacks 'shape' or 'values'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_parse_with_malformed_checkpoint_is_one_line_error(case, pipeline, tmp_path,
+                                                           capsys):
+    edit, message = MALFORMED_CHECKPOINTS[case]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(edit(json.loads(pipeline["baseline"].read_text()))))
+    code, _, err = run_cli(capsys, "parse",
+                           "--corpus", str(pipeline["corpus"]),
+                           "--parser", str(broken))
+    assert code == 1
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_evaluate_reports_id_mismatch(pipeline, tmp_path, capsys):
     broken = tmp_path / "broken.jsonl"
     rows = pipeline["pred"].read_text().splitlines()

@@ -8,9 +8,9 @@ import pytest
 from tagparse import autodiff as ad
 from tagparse.data import SymbolSet, gen_synthetic
 from tagparse.em import (AlignmentPosterior, EmConfig, EmError,
-                         compute_posteriors, fix_linked_posteriors, gold_tag_ids,
-                         hard_em_loss, harden_posteriors, soft_em_loss,
-                         tag_accuracy, train_tagger)
+                         compute_posteriors, em_loss, fix_linked_posteriors,
+                         gold_tag_ids, harden_posteriors, tag_accuracy,
+                         train_tagger)
 from tagparse.nn import Vocab
 from tagparse.optim import Adam
 from tagparse.tagger import (TagDistribution, TaggerConfig, TagVocabulary,
@@ -228,7 +228,7 @@ def test_soft_loss_one_hot_posterior_is_cross_entropy():
     dist = random_dist(rng, 3, TV)
     post = soft_posterior([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]],
                           2, [2, 3, 0])
-    loss = soft_em_loss(dist, post)
+    loss = em_loss(dist, post)
     m = dist.matrix
     expected = -(np.log(m[0, 2]) + np.log(m[1, 3]) + np.log(m[2, 0]))
     np.testing.assert_allclose(float(loss.data), expected, atol=1e-12)
@@ -241,7 +241,7 @@ def test_soft_loss_uniform_column_is_mean_nll():
     matrix[:, 0] = 0.25
     post = soft_posterior(matrix, 1, [4, 0, 0, 0])
     expected = np.mean(-np.log(dist.matrix[:, 4]))
-    np.testing.assert_allclose(float(soft_em_loss(dist, post).data),
+    np.testing.assert_allclose(float(em_loss(dist, post).data),
                                expected, atol=1e-12)
 
 
@@ -253,20 +253,9 @@ def test_loss_invariant_to_symbol_order():
     swapped = AlignmentPosterior(matrix=post.matrix[:, perm].copy(),
                                  num_symbols=3, mode="soft",
                                  tag_ids=post.tag_ids[perm])
-    np.testing.assert_allclose(float(soft_em_loss(dist, post).data),
-                               float(soft_em_loss(dist, swapped).data),
+    np.testing.assert_allclose(float(em_loss(dist, post).data),
+                               float(em_loss(dist, swapped).data),
                                rtol=1e-12)
-
-
-def test_loss_mode_mismatch_rejected():
-    rng = np.random.default_rng(9)
-    dist = random_dist(rng, 3, TV)
-    post = compute_posteriors(dist, symbol_set(["a"], 3))
-    hard = harden_posteriors(post, 0.3)
-    with pytest.raises(EmError, match="hard"):
-        hard_em_loss(dist, post)
-    with pytest.raises(EmError, match="soft"):
-        soft_em_loss(dist, hard)
 
 
 def em_loss_setup(hard_phase):
@@ -280,7 +269,6 @@ def em_loss_setup(hard_phase):
     post = compute_posteriors(tag_distribution(params, words), sset)
     if hard_phase:
         post = harden_posteriors(post, 0.26)
-    em_loss = hard_em_loss if hard_phase else soft_em_loss
 
     def loss_fn():
         return em_loss(tag_distribution(params, words), post)
@@ -305,7 +293,7 @@ def test_one_adam_step_decreases_convex_loss():
     tv = TagVocabulary(["a", "b"])
 
     def loss():
-        return soft_em_loss(TagDistribution(ad.softmax(logits), tv), post)
+        return em_loss(TagDistribution(ad.softmax(logits), tv), post)
 
     before = float(loss().data)
     opt = Adam([logits], lr=1e-3)

@@ -1,4 +1,5 @@
-"""Fused LSTM ops and the batched parser loss against the per-gate oracles."""
+"""Fused LSTM ops, the batched parser loss and batched beam search against
+the per-gate and per-hypothesis oracles."""
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tagparse import autodiff as ad
-from tagparse.nn import LstmCell
-from tagparse.parser import (EOS, DecodeConfig, _batch_loss, _sequence_loss,
-                             decode)
+from tagparse.nn import LstmCell, Vocab
+from tagparse.parser import (BOS, EOS, DecodeConfig, ParserConfig, _batch_loss,
+                             _decoder_step, _sequence_loss, _start, decode,
+                             init_parser)
+from tagparse.tagger import NULL_TAG, UNK_TAG, TagVocabulary
 
-from tests.oracles import (gate_run, gate_step, mean_loss, parser_cells,
-                           per_gate_cells)
+from tests.oracles import (beam_decode, gate_run, gate_step, mean_loss,
+                           parser_cells, per_gate_cells)
 from tests.test_parser import UTT, tiny_parser
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -147,6 +150,84 @@ def test_decode_tokens_match_per_gate_oracle(seed, hidden_size, use_tags, n):
         assert fused.token_ids == oracle.token_ids
         assert fused.truncated == oracle.truncated
         np.testing.assert_allclose(fused.score, oracle.score, rtol=1e-12)
+
+
+@given(seed=seeds, hidden_size=st.integers(2, 8), use_tags=st.booleans(),
+       n=st.integers(1, len(UTT)), max_length=st.integers(1, 12))
+def test_batched_beam_matches_per_hypothesis_oracle(seed, hidden_size, use_tags, n,
+                                                     max_length):
+    params = tiny_parser(use_tags=use_tags, hidden=hidden_size, seed=seed)
+    rng = np.random.default_rng(seed)
+    tags = list(rng.integers(len(params.tag_vocab), size=n)) if use_tags else None
+    for beam in (1, 2, 5):
+        config = DecodeConfig(beam_size=beam, max_length=max_length)
+        got = decode(params, UTT[:n], tags, config)
+        want = beam_decode(params, UTT[:n], tags, config)
+        assert got.token_ids == want.token_ids
+        assert got.truncated == want.truncated
+        np.testing.assert_allclose(got.score, want.score, rtol=1e-12)
+
+
+@pytest.mark.parametrize("banded", [False, True])
+def test_beam_ties_go_to_earlier_hypothesis_then_lower_token_id(banded):
+    # every step ties: all tokens alike, or bands of ids k with equal k % 3
+    params = tiny_parser(seed=4)
+    params.w_out.data[:] = 0.0
+    ids = np.arange(len(params.out_vocab))
+    params.b_out.data[:] = -(ids % 3) if banded else 0.0
+    tags = [0] * len(UTT)
+    assert params.out_vocab.tok2id[EOS] == 2
+    for beam in (1, 2, 3, 5, 7):
+        config = DecodeConfig(beam_size=beam, max_length=6)
+        got = decode(params, UTT, tags, config)
+        want = beam_decode(params, UTT, tags, config)
+        assert (got.token_ids, got.truncated) == (want.token_ids, want.truncated)
+        np.testing.assert_allclose(got.score, want.score, rtol=1e-12)
+        # lower ids outrank the end marker (id 2) within its band
+        ends = beam >= 3 and not banded
+        assert got.token_ids == (() if ends else (0,) * 6)
+        assert got.truncated == (not ends)
+
+
+def exhaustive_best(params, utterance, tags, max_length):
+    """(score, token ids) of the best output ending in the end marker within
+    `max_length` steps, found by scoring every such output."""
+    eos = params.out_vocab.tok2id[EOS]
+    complete = []
+    with ad.no_grad():
+        enc, _, state, feed = _start(params, [utterance], [tags])
+        frontier = [((), params.out_vocab.tok2id[BOS], 0.0, state, feed)]
+        for _ in range(max_length):
+            grown = []
+            for prefix, prev, score, state, feed in frontier:
+                state, feed, logits = _decoder_step(params, [prev], state, feed, enc)
+                logp = np.log(np.maximum(ad.softmax(logits).data[0], 1e-300))
+                for tok, lp in enumerate(logp):
+                    if tok == eos:
+                        complete.append((score + lp, prefix))
+                    else:
+                        grown.append((prefix + (tok,), tok, score + lp, state, feed))
+            frontier = grown
+    return max(complete)
+
+
+@given(seed=seeds, hidden_size=st.integers(1, 6), use_tags=st.booleans(),
+       n=st.integers(1, len(UTT)), max_length=st.integers(1, 3))
+def test_exact_beam_equals_exhaustive_enumeration(seed, hidden_size, use_tags, n,
+                                                  max_length):
+    # a beam of |out| ** max_length keeps every output, so the search is exact
+    config = ParserConfig(word_embedding_size=3, tag_embedding_size=2,
+                          hidden_size=hidden_size, use_tags=use_tags, seed=seed)
+    params = init_parser(Vocab(UTT), Vocab([BOS, EOS, NULL_TAG, UNK_TAG, "x"]),
+                         TagVocabulary([]), config, "lambda")
+    tags = [NULL_TAG] * n if use_tags else None
+    beam = len(params.out_vocab) ** max_length
+    got = decode(params, UTT[:n], tags, DecodeConfig(beam_size=beam,
+                                                     max_length=max_length))
+    score, ids = exhaustive_best(params, UTT[:n], tags, max_length)
+    assert got.token_ids == ids
+    assert not got.truncated
+    np.testing.assert_allclose(got.score, score, rtol=1e-12)
 
 
 def test_lstm_ops_reject_mismatched_shapes():
