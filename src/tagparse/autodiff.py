@@ -40,7 +40,6 @@ __all__ = [
     "embedding",
     "cross_entropy",
     "tsum",
-    "add_n",
     "backward",
     "glorot",
     "finite_diff_check",
@@ -334,38 +333,57 @@ def lstm_step(xproj, state, wh) -> Tensor:
     return _node(out, (xproj, state, wh), bwd)
 
 
-def lstm_sequence(xproj, wh, reverse: bool = False) -> Tensor:
-    """Run an LSTM from the zero state over a whole (n, 4H) input projection.
+def _packing(lengths, n: int, reverse: bool):
+    """Row order for stepping through stacked sequences: `perm`, its inverse and
+    the (lo, hi) range of rows x[perm] that each step advances.  Sequences rank
+    longest first, so a step's rows are its running sequences in rank order."""
+    lengths = np.asarray([n] * (n > 0) if lengths is None else lengths, dtype=np.intp)
+    if lengths.ndim != 1 or lengths.sum() != n or (lengths < 1).any():
+        raise ShapeError(f"lstm_sequence: lengths {lengths.tolist()} do not split {n} rows")
+    if len(lengths) == 1:                # one sequence: its rows in step order, no gather
+        return slice(None), slice(None), [(t, t + 1) for t in range(n)[::-1 if reverse else 1]]
+    rank = np.argsort(-lengths, kind="stable")
+    size, start = lengths[rank, None], (np.cumsum(lengths) - lengths)[rank, None]
+    steps = np.arange(lengths.max(initial=0))
+    rows = start + (size - 1 - steps if reverse else steps)
+    running = steps < size
+    perm = rows.T[running.T]
+    offsets = [0] + np.cumsum(running.sum(axis=0)).tolist()
+    return perm, np.argsort(perm), list(zip(offsets, offsets[1:]))
 
-    Returns the (n, H) hidden states in input order.  With `reverse` the
-    recurrence starts at the last row.  Each step is the update of
-    `lstm_step`; the backward pass is backpropagation through time inside
-    this one node.
-    """
+
+def lstm_sequence(xproj, wh, reverse: bool = False, lengths=None) -> Tensor:
+    """(N, H) hidden states, in input order, of an LSTM run from the zero state over
+    (N, 4H) input projections that stack sequences of `lengths` rows each (default:
+    one, none if N is 0); with `reverse` each runs from its last row.  The running
+    sequences advance as the rows of one `lstm_step` update per step, and
+    backpropagation through time stays inside this one node."""
     xproj, wh = _coerce(xproj), _coerce(wh)
     H = _lstm_hidden("lstm_sequence", xproj, wh)
     n = xproj.data.shape[0]
-    whd, x = wh.data, xproj.data
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    acts = np.empty((n, 4 * H))
-    h_prev, c_prev = np.empty((n, H)), np.empty((n, H))
-    hs, tcs = np.empty((n, H)), np.empty((n, H))
-    h, c = np.zeros((1, H)), np.zeros((1, H))
-    for t in order:
-        h_prev[t], c_prev[t] = h, c
-        act, c, tc = _lstm_cell(x[t:t + 1] + h @ whd.T, c, H)
-        h = act[:, 2 * H:3 * H] * tc
-        acts[t], tcs[t], hs[t] = act, tc, h
+    perm, inverse, steps = _packing(lengths, n, reverse)
+    whd, x = wh.data, xproj.data[perm]
+    acts, (tcs, hs, h_prev, c_prev) = np.empty((n, 4 * H)), np.empty((4, n, H))
+    record = _grad_enabled and (xproj.needs_grad or wh.needs_grad)
+    h = c = np.zeros((n, H))
+    for lo, hi in steps:
+        h, c = h[:hi - lo], c[:hi - lo]  # sequences that ended drop out
+        act, c_next, tc = _lstm_cell(x[lo:hi] + h @ whd.T, c, H)
+        if record:                       # what the backward pass reads
+            h_prev[lo:hi], c_prev[lo:hi], acts[lo:hi], tcs[lo:hi] = h, c, act, tc
+        h, c = act[:, 2 * H:3 * H] * tc, c_next
+        hs[lo:hi] = h
 
     def bwd(grad):
-        dpre = np.empty((n, 4 * H))
-        dh, dc = np.zeros((1, H)), np.zeros((1, H))
-        for t in reversed(order):
-            dpre[t], dh, dc = _lstm_cell_grads(acts[t:t + 1], c_prev[t:t + 1],
-                                               tcs[t:t + 1], grad[t:t + 1] + dh, dc, whd)
-        return dpre, dpre.T @ h_prev
+        grad, dpre = grad[perm], np.empty((n, 4 * H))
+        dh, dc = np.zeros((2, n, H))
+        for lo, hi in reversed(steps):
+            k = hi - lo                  # sequences at their last step join at zero
+            dpre[lo:hi], dh[:k], dc[:k] = _lstm_cell_grads(
+                acts[lo:hi], c_prev[lo:hi], tcs[lo:hi], grad[lo:hi] + dh[:k], dc[:k], whd)
+        return dpre[inverse], dpre.T @ h_prev
 
-    return _node(hs, (xproj, wh), bwd)
+    return _node(hs[inverse], (xproj, wh), bwd)
 
 
 def embedding(table, ids) -> Tensor:
@@ -419,26 +437,6 @@ def tsum(a) -> Tensor:
         return (np.full(ash, g),)
 
     return _node(np.asarray(a.data.sum()), (a,), bwd)
-
-
-def add_n(parts: Sequence) -> Tensor:
-    """Sum same-shape tensors (n-ary add, one graph node)."""
-    parts = [_coerce(p) for p in parts]
-    if not parts:
-        raise ValueError("add_n: empty input")
-    shape = parts[0].data.shape
-    for p in parts:
-        if p.data.shape != shape:
-            raise ShapeError(f"add_n: mixed shapes {shape} vs {p.data.shape}")
-    out = parts[0].data.copy()
-    for p in parts[1:]:
-        out += p.data
-    k = len(parts)
-
-    def bwd(g):
-        return (g,) * k
-
-    return _node(out, tuple(parts), bwd)
 
 
 def backward(root: Tensor, wrt: Iterable[Tensor]) -> dict:

@@ -24,7 +24,7 @@ import numpy as np
 from .autodiff import Tensor
 
 __all__ = ["FORMAT_VERSION", "CheckpointError", "save_checkpoint", "load_checkpoint",
-           "config_from_meta", "restore_parameters"]
+           "config_from_fields", "config_from_meta", "restore_parameters"]
 
 FORMAT_VERSION = 1
 
@@ -101,14 +101,23 @@ def load_checkpoint(path, expect_kind: str | None = None,
     return params, meta
 
 
-def config_from_meta(cls, fields):
-    """Rebuild the config dataclass `cls` from a checkpoint's meta echo."""
+def config_from_fields(cls, fields, source: str, error=ValueError):
+    """The config dataclass `cls` from a decoded JSON object; a non-object, an unknown
+    key or a value `cls` rejects raises `error`, its message starting with `source`."""
     if not isinstance(fields, dict):
-        raise CheckpointError("checkpoint config is not an object")
+        raise error(f"{source} is a JSON {type(fields).__name__}, not an object")
     for key in fields:
         if key not in cls.__dataclass_fields__:
-            raise CheckpointError(f"checkpoint config has unknown field '{key}'")
-    return cls(**fields)
+            raise error(f"{source} has unknown field '{key}'")
+    try:
+        return cls(**fields)
+    except (TypeError, ValueError) as e:
+        raise error(f"{source}: {e}") from e
+
+
+def config_from_meta(cls, fields):
+    """Rebuild the config dataclass `cls` from a checkpoint's meta echo."""
+    return config_from_fields(cls, fields, "checkpoint config", CheckpointError)
 
 
 def restore_parameters(params: Sequence[Tensor], values: Dict[str, np.ndarray]) -> None:

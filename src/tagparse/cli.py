@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING
 
-from .checkpoint import CheckpointError
+from .checkpoint import CheckpointError, config_from_fields
 from .data import (CorpusError, MeaningParseError, MeaningRepresentation,
                    SyntheticConfigError, anonymize_entities, default_grammar,
                    extract_symbols, gen_synthetic, load_corpus, save_corpus)
@@ -34,6 +35,17 @@ _ERRORS = (CorpusError, MeaningParseError, SyntheticConfigError, SplitError,
 def _read_json(path) -> dict:
     with open(path) as f:
         return json.load(f)
+
+
+def _read_config(cls, flag, path, **overrides):
+    """Config `cls` from the JSON object in `path` (if any) and the non-None overrides."""
+    fields = _read_json(path) if path else {}
+    if isinstance(fields, dict):
+        fields.update((k, v) for k, v in overrides.items() if v is not None)
+        for key in overrides.keys() - fields.keys():
+            if cls.__dataclass_fields__[key].default is MISSING:
+                raise ValueError(f"give --{key} or a config file with a {key}")
+    return config_from_fields(cls, fields, f"{flag} {path}" if path else cls.__name__)
 
 
 def _write_lines(path, lines):
@@ -105,15 +117,10 @@ def _cmd_extract_symbols(args):
 
 def _cmd_train_tagger(args):
     corpus = _training_corpus(args)
-    em_fields = _read_json(args.config) if args.config else {}
-    if args.seed is not None:
-        em_fields["seed"] = args.seed
-    if "seed" not in em_fields:
-        raise EmError("give --seed or a config file with a seed")
-    tagger_config = TaggerConfig(**_read_json(args.model_config)) \
-        if args.model_config else TaggerConfig()
-    params = train_tagger(corpus, EmConfig(**em_fields),
-                          log_file=args.log, tagger_config=tagger_config)
+    em_config = _read_config(EmConfig, "--config", args.config, seed=args.seed)
+    tagger_config = _read_config(TaggerConfig, "--model-config", args.model_config)
+    params = train_tagger(corpus, em_config, log_file=args.log,
+                          tagger_config=tagger_config)
     save_tagger(args.out, params)
     print(f"wrote tagger checkpoint to {args.out}")
     return 0
@@ -135,11 +142,8 @@ def _cmd_tag(args):
 
 def _cmd_train_parser(args):
     corpus = _training_corpus(args)
-    fields = _read_json(args.config) if args.config else {}
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    fields["use_tags"] = not args.baseline
-    config = ParserConfig(**fields)
+    config = _read_config(ParserConfig, "--config", args.config, seed=args.seed,
+                          use_tags=not args.baseline)
     tagger = None
     if not args.baseline:
         if args.tagger is None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -37,9 +37,8 @@ from .autodiff import Tensor
 from .data import SymbolSet
 from .nn import Vocab
 from .optim import Adam
-from .tagger import (TagDistribution, TaggerConfig, TaggerParams,
-                     TagVocabulary, init_tagger, predict_tags, save_tagger,
-                     tag_distribution)
+from .tagger import (TagDistribution, TaggerConfig, TaggerParams, TagVocabulary, init_tagger,
+                     predict_tags, save_tagger, _batch_distribution as tag_distribution)
 
 __all__ = ["EmError", "EmConfig", "AlignmentPosterior", "PROB_FLOOR",
            "compute_posteriors", "fix_linked_posteriors", "harden_posteriors",
@@ -162,12 +161,13 @@ def harden_posteriors(posterior: AlignmentPosterior, beta: float) -> AlignmentPo
     return replace(posterior, matrix=hard, mode="hard")
 
 
-def em_loss(dist: TagDistribution, posterior: AlignmentPosterior) -> Tensor:
-    """-J for a soft or hard posterior; gradient flows only through the log-probs."""
-    weights = np.zeros_like(dist.matrix)
-    for j in range(posterior.n):
-        weights[:, posterior.tag_ids[j]] += posterior.matrix[:, j]
-    return ad.cross_entropy(dist.probs, weights, floor=PROB_FLOOR)
+def em_loss(dist: TagDistribution, posteriors: Sequence[AlignmentPosterior]) -> Tensor:
+    """Mean -J over utterances whose rows `dist` stacks, one (soft or hard)
+    posterior each; gradient flows only through the log-probs."""
+    # column j of a posterior weights tag tag_ids[j]
+    onehot = np.eye(len(dist.tag_vocab))
+    weights = np.concatenate([p.matrix @ onehot[p.tag_ids] for p in posteriors])
+    return ad.cross_entropy(dist.probs, weights / len(posteriors), floor=PROB_FLOOR)
 
 
 def gold_tag_ids(example, tag_vocab: TagVocabulary) -> np.ndarray:
@@ -217,9 +217,7 @@ def train_tagger(corpus, config: EmConfig, dev_corpus=None, log_file=None,
     if not examples:
         raise EmError("no trainable examples (every symbol set fills its utterance)")
 
-    words = []
-    for ex in examples:
-        words.extend(ex.utterance.tokens)
+    words = [w for ex in examples for w in ex.utterance.tokens]
     params = init_tagger(Vocab(words), TagVocabulary.from_corpus(examples),
                          tagger_config, seed=config.seed)
     optimizer = Adam(params.parameters(), lr=config.learning_rate)
@@ -235,15 +233,15 @@ def train_tagger(corpus, config: EmConfig, dev_corpus=None, log_file=None,
             batch = rng.choice(len(examples),
                                size=min(config.batch_size, len(examples)),
                                replace=False)
-            losses = []
-            for k in batch:
-                ex = examples[k]
-                dist = tag_distribution(params, ex.utterance)
-                posterior = compute_posteriors(dist, ex.symbol_set)
-                if phase == "hard":
-                    posterior = harden_posteriors(posterior, config.beta)
-                losses.append(em_loss(dist, posterior))
-            loss = ad.mul(ad.add_n(losses), 1.0 / len(losses))
+            chosen = [examples[k] for k in batch]
+            dist = tag_distribution(params, [ex.utterance for ex in chosen])
+            blocks = np.split(dist.matrix, np.cumsum([ex.utterance.n for ex in chosen])[:-1])
+            # each E-step reads its own utterance's rows, as constants
+            posteriors = [compute_posteriors(TagDistribution(ad.tensor(rows), params.tag_vocab),
+                                             ex.symbol_set) for ex, rows in zip(chosen, blocks)]
+            if phase == "hard":
+                posteriors = [harden_posteriors(p, config.beta) for p in posteriors]
+            loss = em_loss(dist, posteriors)
             if not np.isfinite(loss.data):
                 raise EmError(f"loss diverged at step {step}")
             optimizer.step(ad.backward(loss, params.parameters()))

@@ -2,10 +2,10 @@
 
 LSTM gates are packed row-wise as [input; forget; output; candidate]
 blocks of the hidden size.  All weights are Glorot-uniform, all biases
-zero.  The recurrences are fused autodiff ops: a whole sequence runs as
-one `lstm_sequence` node giving an (n, hidden) matrix, and one decoder
-step advances B rows of packed (B, 2 * hidden) [h | c] states as one
-`lstm_step` node.
+zero.  The recurrences are fused autodiff ops: sequences stacked
+row-wise run as one `lstm_sequence` node giving an (N, hidden) matrix,
+and one decoder step advances B rows of packed (B, 2 * hidden) [h | c]
+states as one `lstm_step` node.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ class LstmCell:
         """Advance (B, 2H) [h | c] states from a precomputed (B, 4H) input projection."""
         return ad.lstm_step(xproj, state, self.wh)
 
-    def run(self, xs: Tensor, reverse: bool = False) -> Tensor:
-        """Run over an (n, I) sequence from the zero state; returns (n, H) states in input order."""
-        return ad.lstm_sequence(self.project_inputs(xs), self.wh, reverse)
+    def run(self, xs: Tensor, reverse: bool = False, lengths=None) -> Tensor:
+        """(N, H) states of the sequences stacked in (N, I) rows; see lstm_sequence."""
+        return ad.lstm_sequence(self.project_inputs(xs), self.wh, reverse, lengths)
 
 
 class BiLstmEncoder:
@@ -96,9 +96,8 @@ class BiLstmEncoder:
             out.extend(bwd.parameters())
         return out
 
-    def encode(self, xs: Tensor) -> Tensor:
-        """Map an (n, I) input sequence to (n, 2H) contextual states."""
-        current = xs
+    def encode(self, xs: Tensor, lengths=None) -> Tensor:
+        """Map (N, I) rows of sequences `lengths` long (default: one) to (N, 2H) states."""
         for fwd, bwd in self.layers:
-            current = ad.concat([fwd.run(current), bwd.run(current, reverse=True)], axis=1)
-        return current
+            xs = ad.concat([fwd.run(xs, False, lengths), bwd.run(xs, True, lengths)], axis=1)
+        return xs

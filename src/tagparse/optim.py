@@ -1,13 +1,13 @@
 """Adam optimizer with global-norm gradient clipping.
 
-Moments follow the standard bias-corrected update:
+Moments follow the standard bias-corrected update, b1 = 0.9, b2 = 0.999, eps = 1e-8:
 
     m <- b1*m + (1-b1)*g        m_hat = m / (1 - b1^t)
     v <- b2*v + (1-b2)*g^2      v_hat = v / (1 - b2^t)
     p <- p - lr * m_hat / (sqrt(v_hat) + eps)
 
-Gradients are clipped jointly (one global norm over all parameters)
-before the moment updates.  A NaN or Inf gradient aborts the step with
+Gradients are clipped jointly (one global norm over all parameters) to
+5 before the moment updates.  A NaN or Inf gradient aborts the step with
 the offending parameter's name and the current step index.
 """
 
@@ -43,15 +43,11 @@ def clip_global_norm(grads: Dict[Tensor, np.ndarray], max_norm: float) -> float:
 
 
 class Adam:
-    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 clip_norm: float = 5.0):
+    beta1, beta2, eps, clip_norm = 0.9, 0.999, 1e-8, 5.0
+
+    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.clip_norm = clip_norm
         self.t = 0
         self._m = {id(p): np.zeros_like(p.data) for p in self.params}
         self._v = {id(p): np.zeros_like(p.data) for p in self.params}
@@ -63,8 +59,7 @@ class Adam:
             if g is not None and not np.all(np.isfinite(g)):
                 raise OptimizerError(
                     f"non-finite gradient for parameter '{p.name}' at step {self.t + 1}")
-        if self.clip_norm > 0:
-            clip_global_norm(grads, self.clip_norm)
+        clip_global_norm(grads, self.clip_norm)
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t

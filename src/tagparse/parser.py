@@ -21,8 +21,8 @@ is returned with a truncation flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .checkpoint import (config_from_meta, load_checkpoint, restore_parameters,
 from .data import MeaningRepresentation, deanonymize_tokens
 from .nn import BiLstmEncoder, LstmCell, Vocab
 from .optim import Adam
-from .tagger import (NULL_TAG, UNK_TAG, TaggerParams, TagVocabulary,
+from .tagger import (NULL_TAG, UNK_TAG, TaggerParams, TagVocabulary, _tokens,
                      predict_tags)
 
 __all__ = ["BOS", "EOS", "ParserError", "ParserConfig", "DecodeConfig",
@@ -130,10 +130,6 @@ def init_parser(word_vocab: Vocab, out_vocab: Vocab, tag_vocab: TagVocabulary,
     )
 
 
-def _tokens(utterance) -> Sequence[str]:
-    return utterance.tokens if hasattr(utterance, "tokens") else tuple(utterance)
-
-
 def _tag_out_ids(params: ParserParams, tags) -> np.ndarray:
     """Map tag ids or tag symbol strings onto shared-table row ids."""
     symbols = [t if isinstance(t, str) else params.tag_vocab.symbol_of(t)
@@ -162,11 +158,10 @@ def _start(params: ParserParams, utterances, tag_lists):
     elsewhere; None when B is 1), the (B, 2H) [h | c] decoder state and
     the (B, H) input feed.
     """
-    encs = [params.encoder.encode(embed_inputs(params, u, t))
-            for u, t in zip(utterances, tag_lists)]
-    lengths = np.array([e.data.shape[0] for e in encs])
+    inputs = [embed_inputs(params, u, t) for u, t in zip(utterances, tag_lists)]
+    lengths = np.array([x.data.shape[0] for x in inputs])
     ends = np.cumsum(lengths)
-    enc = ad.concat(encs, axis=0)
+    enc = params.encoder.encode(ad.concat(inputs, axis=0), lengths)
     h = params.config.hidden_size
     # h0 reads the forward state of the last word and the backward state of the first
     summary = ad.concat([ad.cols(ad.embedding(enc, ends - 1), 0, h),
@@ -174,10 +169,10 @@ def _start(params: ParserParams, utterances, tag_lists):
     h0 = ad.tanh(ad.add(ad.matmul(summary, ad.transpose(params.w_bridge)),
                         params.b_bridge))
     mask = None
-    if len(encs) > 1:
-        owner = np.repeat(np.arange(len(encs)), lengths)
-        mask = np.where(owner[None, :] == np.arange(len(encs))[:, None], 0.0, -np.inf)
-    zeros = np.zeros((len(encs), h))
+    if len(inputs) > 1:
+        owner = np.repeat(np.arange(len(inputs)), lengths)
+        mask = np.where(owner[None, :] == np.arange(len(inputs))[:, None], 0.0, -np.inf)
+    zeros = np.zeros((len(inputs), h))
     return enc, mask, ad.concat([h0, zeros], axis=1), ad.tensor(zeros)
 
 
@@ -404,8 +399,7 @@ def save_parser(path, params: ParserParams) -> None:
         "out_vocab": params.out_vocab.id2tok,
         "tag_vocab": params.tag_vocab.id2sym,
         "formalism": params.formalism,
-        "config": {f: getattr(params.config, f)
-                   for f in ParserConfig.__dataclass_fields__},
+        "config": asdict(params.config),
     }
     save_checkpoint(path, params.parameters(), kind="parser", meta=meta)
 

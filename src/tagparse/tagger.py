@@ -14,7 +14,7 @@ unknown-symbol id (id 1) for test-time symbols never seen in training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
@@ -114,9 +114,8 @@ class TagDistribution:
 
 
 def init_tagger(word_vocab: Vocab, tag_vocab: TagVocabulary,
-                config: TaggerConfig = TaggerConfig(), seed: int = 0,
-                rng=None) -> TaggerParams:
-    rng = rng if rng is not None else np.random.default_rng(seed)
+                config: TaggerConfig = TaggerConfig(), seed: int = 0) -> TaggerParams:
+    rng = np.random.default_rng(seed)
     e, h, t = config.embedding_size, config.hidden_size, len(tag_vocab)
     return TaggerParams(
         word_vocab=word_vocab,
@@ -134,24 +133,29 @@ def _tokens(utterance) -> Sequence[str]:
     return utterance.tokens if hasattr(utterance, "tokens") else tuple(utterance)
 
 
-def _embed_and_encode(params: TaggerParams, utterance):
-    ids = params.word_vocab.encode(_tokens(utterance))
-    x = ad.embedding(params.embedding, ids)
-    return x, params.encoder.encode(x)
+def _embed_and_encode(params: TaggerParams, utterances):
+    """Word embeddings and contextual states of utterances stacked row-wise."""
+    ids = [params.word_vocab.encode(_tokens(u)) for u in utterances]
+    x = ad.embedding(params.embedding, np.concatenate(ids))
+    return x, params.encoder.encode(x, [len(i) for i in ids])
 
 
 def encode(params: TaggerParams, utterance) -> Tensor:
     """Contextual states h_i = [h_forward; h_backward], shape (n, 2H)."""
-    _, h = _embed_and_encode(params, utterance)
-    return h
+    return _embed_and_encode(params, [utterance])[1]
 
 
-def tag_distribution(params: TaggerParams, utterance) -> TagDistribution:
-    x, h = _embed_and_encode(params, utterance)
+def _batch_distribution(params: TaggerParams, utterances) -> TagDistribution:
+    """Tag distributions of B utterances as one matrix, their rows stacked in order."""
+    x, h = _embed_and_encode(params, utterances)
     logits = ad.add(ad.add(ad.matmul(h, ad.transpose(params.w_out)),
                            ad.matmul(x, ad.transpose(params.u_out))),
                     params.b_out)
     return TagDistribution(probs=ad.softmax(logits), tag_vocab=params.tag_vocab)
+
+
+def tag_distribution(params: TaggerParams, utterance) -> TagDistribution:
+    return _batch_distribution(params, [utterance])
 
 
 def predict_tags(params: TaggerParams, utterance) -> np.ndarray:
@@ -165,9 +169,7 @@ def save_tagger(path, params: TaggerParams) -> None:
     meta = {
         "word_vocab": params.word_vocab.id2tok,
         "tag_vocab": params.tag_vocab.id2sym,
-        "config": {"embedding_size": params.config.embedding_size,
-                   "hidden_size": params.config.hidden_size,
-                   "num_layers": params.config.num_layers},
+        "config": asdict(params.config),
     }
     save_checkpoint(path, params.parameters(), kind="tagger", meta=meta)
 

@@ -2,20 +2,23 @@
 
 They compute the same functions out of small autodiff ops: the LSTM cell
 as a per-gate chain of column slices, sigmoids, tanhs and products run
-one (1, 4H) row at a time, the encoder with one concat per word, the
-parser loss as the mean of per-example teacher-forced losses, and beam
-search with one decoder step per hypothesis.  Tests compare the library
-against them; the package never uses them.
+one (1, 4H) row at a time, one sequence at a time, the encoder with one
+concat per word, the parser and EM losses as the mean of per-example
+losses, and beam search with one decoder step per hypothesis.  Tests
+compare the library against them; the package never uses them.
 """
 
 import contextlib
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from tagparse import autodiff as ad
+from tagparse.em import PROB_FLOOR
 from tagparse.parser import (BOS, EOS, DecodeResult, _decoder_step, _start,
                              embed_inputs)
+from tagparse.tagger import tag_distribution
 
 
 def gate_step(cell, xproj_t, h, c):
@@ -46,6 +49,12 @@ def gate_run(cell, xs, reverse=False):
     return states
 
 
+def row_blocks(xs, lengths):
+    """The row blocks of sequences stacked `lengths` rows each, gathered from xs."""
+    ends = np.cumsum(lengths)
+    return [ad.embedding(xs, np.arange(end - l, end)) for l, end in zip(lengths, ends)]
+
+
 def gate_encode(encoder, xs):
     """Stacked bidirectional encoding with one concat per word."""
     current = xs
@@ -68,8 +77,10 @@ def per_gate_cells(cells):
             h, c = gate_step(cell, xproj, ad.cols(state, 0, H), ad.cols(state, H, 2 * H))
             return ad.concat([h, c], axis=1)
 
-        def run(xs, reverse=False):
-            return ad.concat(gate_run(cell, xs, reverse), axis=0)
+        def run(xs, reverse=False, lengths=None):
+            blocks = row_blocks(xs, [xs.data.shape[0]] if lengths is None else lengths)
+            return ad.concat([h for block in blocks for h in gate_run(cell, block, reverse)],
+                             axis=0)
 
         cell.step, cell.run = step, run
 
@@ -117,11 +128,30 @@ def sequence_loss(params, utterance, tags, target_ids):
     return ad.cross_entropy(probs, onehot)
 
 
+def mean_of(losses):
+    """The mean of scalar loss tensors, as a chain of adds."""
+    return ad.mul(functools.reduce(ad.add, losses), 1.0 / len(losses))
+
+
 def mean_loss(params, utterances, tag_lists, targets):
     """Minibatch loss as the mean of per-example losses."""
-    losses = [sequence_loss(params, u, t, y)
-              for u, t, y in zip(utterances, tag_lists, targets)]
-    return ad.mul(ad.add_n(losses), 1.0 / len(losses))
+    return mean_of([sequence_loss(params, u, t, y)
+                    for u, t, y in zip(utterances, tag_lists, targets)])
+
+
+def em_example_loss(dist, posterior):
+    """-J of one utterance, weights accumulated one posterior column at a time."""
+    weights = np.zeros_like(dist.matrix)
+    for j in range(posterior.n):
+        weights[:, posterior.tag_ids[j]] += posterior.matrix[:, j]
+    return ad.cross_entropy(dist.probs, weights, floor=PROB_FLOOR)
+
+
+def em_mean_loss(params, utterances, posteriors):
+    """EM minibatch loss as the mean of per-utterance losses, each from its
+    own tag distribution."""
+    return mean_of([em_example_loss(tag_distribution(params, u), post)
+                    for u, post in zip(utterances, posteriors)])
 
 
 @dataclass

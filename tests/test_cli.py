@@ -146,6 +146,15 @@ def test_train_tagger_requires_seed(pipeline, tmp_path, capsys):
     assert "seed" in err
 
 
+def test_train_tagger_config_without_seed_is_one_line_error(pipeline, tmp_path, capsys):
+    config = tmp_path / "em.json"
+    config.write_text(json.dumps({"total_updates": 80, "soft_updates": 40}))
+    code, _, err = run_cli(capsys, "train-tagger", "--corpus", str(pipeline["corpus"]),
+                           "--config", str(config), "--out", str(tmp_path / "t.json"))
+    assert code == 1
+    assert err.splitlines() == ["error: give --seed or a config file with a seed"]
+
+
 def test_train_parser_requires_tagger_unless_baseline(pipeline, tmp_path,
                                                       capsys):
     code, _, err = run_cli(capsys, "train-parser",
@@ -154,6 +163,29 @@ def test_train_parser_requires_tagger_unless_baseline(pipeline, tmp_path,
                            "--out", str(tmp_path / "p.json"))
     assert code == 1
     assert "--tagger" in err or "--baseline" in err
+
+
+BAD_CONFIGS = {
+    "unknown field": ({"dropout": 1}, "has unknown field 'dropout'"),
+    "not an object": ([1], "is a JSON list, not an object"),
+}
+
+
+@pytest.mark.parametrize("command,flag", [("train-tagger", "--config"),
+                                          ("train-tagger", "--model-config"),
+                                          ("train-parser", "--config")])
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_training_config_is_one_line_error(command, flag, case, pipeline, tmp_path,
+                                               capsys):
+    fields, message = BAD_CONFIGS[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fields))
+    baseline = ["--baseline"] if command == "train-parser" else []
+    code, _, err = run_cli(capsys, command, "--corpus", str(pipeline["corpus"]),
+                           "--seed", "0", *baseline, flag, str(path),
+                           "--out", str(tmp_path / "out.json"))
+    assert code == 1
+    assert err.splitlines() == [f"error: {flag} {path} {message}"]
 
 
 def test_parse_tagged_checkpoint_requires_tagger(pipeline, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from tagparse import autodiff as ad
 from tagparse.data import SymbolSet, gen_synthetic
-from tagparse.em import (AlignmentPosterior, EmConfig, EmError,
+from tagparse.em import (AlignmentPosterior, EmConfig, EmError, _usable,
                          compute_posteriors, em_loss, fix_linked_posteriors,
                          gold_tag_ids, harden_posteriors, tag_accuracy,
                          train_tagger)
@@ -228,7 +228,7 @@ def test_soft_loss_one_hot_posterior_is_cross_entropy():
     dist = random_dist(rng, 3, TV)
     post = soft_posterior([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]],
                           2, [2, 3, 0])
-    loss = em_loss(dist, post)
+    loss = em_loss(dist, [post])
     m = dist.matrix
     expected = -(np.log(m[0, 2]) + np.log(m[1, 3]) + np.log(m[2, 0]))
     np.testing.assert_allclose(float(loss.data), expected, atol=1e-12)
@@ -241,7 +241,7 @@ def test_soft_loss_uniform_column_is_mean_nll():
     matrix[:, 0] = 0.25
     post = soft_posterior(matrix, 1, [4, 0, 0, 0])
     expected = np.mean(-np.log(dist.matrix[:, 4]))
-    np.testing.assert_allclose(float(em_loss(dist, post).data),
+    np.testing.assert_allclose(float(em_loss(dist, [post]).data),
                                expected, atol=1e-12)
 
 
@@ -253,8 +253,8 @@ def test_loss_invariant_to_symbol_order():
     swapped = AlignmentPosterior(matrix=post.matrix[:, perm].copy(),
                                  num_symbols=3, mode="soft",
                                  tag_ids=post.tag_ids[perm])
-    np.testing.assert_allclose(float(em_loss(dist, post).data),
-                               float(em_loss(dist, swapped).data),
+    np.testing.assert_allclose(float(em_loss(dist, [post]).data),
+                               float(em_loss(dist, [swapped]).data),
                                rtol=1e-12)
 
 
@@ -271,7 +271,7 @@ def em_loss_setup(hard_phase):
         post = harden_posteriors(post, 0.26)
 
     def loss_fn():
-        return em_loss(tag_distribution(params, words), post)
+        return em_loss(tag_distribution(params, words), [post])
 
     return loss_fn, params
 
@@ -293,7 +293,7 @@ def test_one_adam_step_decreases_convex_loss():
     tv = TagVocabulary(["a", "b"])
 
     def loss():
-        return em_loss(TagDistribution(ad.softmax(logits), tv), post)
+        return em_loss(TagDistribution(ad.softmax(logits), tv), [post])
 
     before = float(loss().data)
     opt = Adam([logits], lr=1e-3)
@@ -373,6 +373,21 @@ def test_train_skips_saturated_symbol_sets():
     assert "s1" not in params.tag_vocab
     with pytest.warns(UserWarning), pytest.raises(EmError, match="no trainable"):
         train_tagger([bad], small_config(total_updates=4, soft_updates=2))
+
+
+def test_usable_skips_examples_whose_symbols_fill_the_utterance():
+    from dataclasses import replace
+    corpus = synthetic_corpus()[:3]
+    n = corpus[1].utterance.n
+    symbols = tuple(f"s{k}" for k in range(n))
+    full = replace(corpus[1], symbol_set=SymbolSet(symbols, padded_length=n))
+    one_null = replace(corpus[2], symbol_set=SymbolSet(symbols[:-1], padded_length=n))
+    with pytest.warns(UserWarning) as caught:
+        kept = _usable([corpus[0], full, one_null])
+    assert kept == [corpus[0], one_null]
+    assert [str(w.message) for w in caught] == [
+        f"example {full.example_id}: {n} symbols for {n} words leaves no null "
+        f"column; skipped"]
 
 
 def test_best_dev_checkpoint_saved(tmp_path):

@@ -1,5 +1,5 @@
-"""Fused LSTM ops, the batched parser loss and batched beam search against
-the per-gate and per-hypothesis oracles."""
+"""Fused LSTM ops, the batched parser and EM losses and batched beam search
+against the per-gate, per-example and per-hypothesis oracles."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tagparse import autodiff as ad
+from tagparse.data import SymbolSet
+from tagparse.em import compute_posteriors, em_loss, harden_posteriors
 from tagparse.nn import LstmCell, Vocab
 from tagparse.parser import (BOS, EOS, DecodeConfig, ParserConfig, _batch_loss,
                              _decoder_step, _sequence_loss, _start, decode,
                              init_parser)
-from tagparse.tagger import NULL_TAG, UNK_TAG, TagVocabulary
+from tagparse.tagger import (NULL_TAG, UNK_TAG, TaggerConfig, TagVocabulary,
+                             _batch_distribution, init_tagger, tag_distribution)
 
-from tests.oracles import (beam_decode, gate_run, gate_step, mean_loss,
-                           parser_cells, per_gate_cells)
+from tests.oracles import (beam_decode, em_mean_loss, gate_run, gate_step,
+                           mean_loss, parser_cells, per_gate_cells, row_blocks)
 from tests.test_parser import UTT, tiny_parser
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -52,6 +55,52 @@ def test_lstm_sequence_matches_per_gate_chain(seed, H, n, reverse):
     want = ad.backward(weighted_sum(oracle, weights), params)
     for p in params:
         assert rel_err(got[p], want[p]) <= 1e-9, p.name
+
+
+ragged = st.lists(st.integers(1, 7), min_size=1, max_size=5)
+
+
+@given(seed=seeds, H=hidden, lengths=ragged, reverse=st.booleans())
+def test_ragged_lstm_sequence_matches_separate_runs(seed, H, lengths, reverse):
+    rng, cell, x = cell_and_inputs(seed, H, sum(lengths))
+    weights = rng.normal(size=(sum(lengths), H))
+    stacked = cell.run(x, reverse, lengths)
+    separate = ad.concat([cell.run(block, reverse) for block in row_blocks(x, lengths)],
+                         axis=0)
+    assert stacked.data.shape == (sum(lengths), H)
+    assert np.abs(stacked.data - separate.data).max() <= 1e-12
+    params = [x, *cell.parameters()]
+    got = ad.backward(weighted_sum(stacked, weights), params)
+    want = ad.backward(weighted_sum(separate, weights), params)
+    for p in params:
+        assert rel_err(got[p], want[p]) <= 1e-9, p.name
+
+
+@given(seed=seeds, H=hidden, lengths=ragged, reverse=st.booleans())
+def test_ragged_lstm_sequence_finite_differences(seed, H, lengths, reverse):
+    rng, cell, x = cell_and_inputs(seed, H, sum(lengths))
+    target = rng.uniform(0.1, 1.0, size=(sum(lengths), H))
+
+    def loss():
+        # the mean over rows keeps the loss O(1), within finite-difference resolution
+        return ad.mul(ad.cross_entropy(ad.softmax(cell.run(x, reverse, lengths)), target),
+                      1.0 / sum(lengths))
+
+    err = ad.finite_diff_check(loss, [x, *cell.parameters()], num_coords=30,
+                               rng=np.random.default_rng(seed))
+    assert err <= 1e-5
+
+
+@pytest.mark.parametrize("lengths", [[2, 1], [3, 3], [3, 0, 1], [0, 4], [-1, 5], [[4]],
+                                     np.array([[4]])])
+def test_lstm_sequence_rejects_lengths_that_do_not_split_the_rows(lengths):
+    xproj, wh = np.zeros((4, 8)), ad.tensor(np.zeros((8, 2)))
+    with pytest.raises(ad.ShapeError, match="lengths .* do not split 4 rows"):
+        ad.lstm_sequence(xproj, wh, lengths=lengths)
+
+
+def test_lstm_sequence_over_no_rows_is_empty():
+    assert ad.lstm_sequence(np.zeros((0, 8)), np.zeros((8, 2))).data.shape == (0, 2)
 
 
 @given(seed=seeds, H=hidden, B=st.integers(1, 5))
@@ -236,3 +285,45 @@ def test_lstm_ops_reject_mismatched_shapes():
         ad.lstm_sequence(np.zeros((3, 6)), wh)
     with pytest.raises(ad.ShapeError, match="lstm_step: state"):
         ad.lstm_step(np.zeros((2, 8)), np.zeros((3, 4)), wh)
+
+
+TAGGER_WORDS = "frame0 word1 trips to city2 from".split()
+TAGGER_SYMBOLS = ["shape0", "pred1", "to", "city2"]
+
+
+def em_batch(seed, size, linked):
+    """`size` utterances of 2-6 words, each with fewer symbols than words;
+    with `linked`, each pins its first symbol to a span of 1-2 words."""
+    rng = np.random.default_rng(seed)
+    utterances, symbol_sets = [], []
+    for _ in range(size):
+        n = int(rng.integers(2, 7))
+        symbols = list(rng.choice(TAGGER_SYMBOLS, size=int(rng.integers(linked, min(n, 5))),
+                                  replace=False))
+        fixed = {}
+        if linked:
+            start = int(rng.integers(n))
+            fixed[symbols[0]] = tuple(range(start, min(n, start + 2)))
+        utterances.append(list(rng.choice(TAGGER_WORDS, size=n)))
+        symbol_sets.append(SymbolSet(tuple(symbols), padded_length=n,
+                                     fixed_alignments=fixed))
+    return utterances, symbol_sets
+
+
+@given(seed=seeds, size=st.integers(1, 5), hard=st.booleans(), linked=st.booleans())
+def test_batched_em_loss_equals_mean_of_per_example_losses(seed, size, hard, linked):
+    params = init_tagger(Vocab(TAGGER_WORDS), TagVocabulary(TAGGER_SYMBOLS),
+                         TaggerConfig(embedding_size=4, hidden_size=3), seed=seed)
+    utterances, symbol_sets = em_batch(seed, size, linked)
+    posteriors = []
+    for words, sset in zip(utterances, symbol_sets):
+        post = compute_posteriors(tag_distribution(params, words), sset)
+        posteriors.append(harden_posteriors(post, 0.26) if hard else post)
+    assert all(p.fixed_columns for p in posteriors) == linked
+    got = em_loss(_batch_distribution(params, utterances), posteriors)
+    want = em_mean_loss(params, utterances, posteriors)
+    assert rel_err(got.data, want.data) <= 1e-9
+    grads = ad.backward(got, params.parameters())
+    oracle = ad.backward(want, params.parameters())
+    for p in params.parameters():
+        assert rel_err(grads[p], oracle[p]) <= 1e-9, p.name
