@@ -30,7 +30,7 @@ symbol_set = SymbolSet(symbols=tuple(symbols), padded_length=len(words),
                        fixed_alignments={})
 
 # The tagger scores every word against every tag...
-dist = tag_distribution(params, utterance)
+dist = tag_distribution(params, [utterance])
 print("tag distribution rows (one per word):")
 print(np.round(dist.matrix, 3))
 

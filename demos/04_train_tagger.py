@@ -31,7 +31,7 @@ print(log_path.read_text())
 print(f"gold tag accuracy: {tag_accuracy(params, corpus):.3f}")
 
 example = corpus[0]
-tags = predict_tags(params, example.utterance)
+tags = predict_tags(params, [example.utterance])[0]
 # Relational symbols (from, to) anchor on their argument's entity
 # marker, the convention the grammar's gold alignments use.
 print("\nword -> tag")

@@ -340,8 +340,6 @@ def _packing(lengths, n: int, reverse: bool):
     lengths = np.asarray([n] * (n > 0) if lengths is None else lengths, dtype=np.intp)
     if lengths.ndim != 1 or lengths.sum() != n or (lengths < 1).any():
         raise ShapeError(f"lstm_sequence: lengths {lengths.tolist()} do not split {n} rows")
-    if len(lengths) == 1:                # one sequence: its rows in step order, no gather
-        return slice(None), slice(None), [(t, t + 1) for t in range(n)[::-1 if reverse else 1]]
     rank = np.argsort(-lengths, kind="stable")
     size, start = lengths[rank, None], (np.cumsum(lengths) - lengths)[rank, None]
     steps = np.arange(lengths.max(initial=0))
@@ -364,13 +362,11 @@ def lstm_sequence(xproj, wh, reverse: bool = False, lengths=None) -> Tensor:
     perm, inverse, steps = _packing(lengths, n, reverse)
     whd, x = wh.data, xproj.data[perm]
     acts, (tcs, hs, h_prev, c_prev) = np.empty((n, 4 * H)), np.empty((4, n, H))
-    record = _grad_enabled and (xproj.needs_grad or wh.needs_grad)
     h = c = np.zeros((n, H))
     for lo, hi in steps:
         h, c = h[:hi - lo], c[:hi - lo]  # sequences that ended drop out
         act, c_next, tc = _lstm_cell(x[lo:hi] + h @ whd.T, c, H)
-        if record:                       # what the backward pass reads
-            h_prev[lo:hi], c_prev[lo:hi], acts[lo:hi], tcs[lo:hi] = h, c, act, tc
+        h_prev[lo:hi], c_prev[lo:hi], acts[lo:hi], tcs[lo:hi] = h, c, act, tc
         h, c = act[:, 2 * H:3 * H] * tc, c_next
         hs[lo:hi] = h
 

@@ -129,14 +129,11 @@ def _cmd_train_tagger(args):
 def _cmd_tag(args):
     params = load_tagger(args.checkpoint)
     corpus = _training_corpus(args)
-    lines = []
-    for ex in corpus:
-        ids = predict_tags(params, ex.utterance)
-        lines.append(json.dumps(
-            {"id": ex.example_id, "tokens": list(ex.utterance.tokens),
-             "tags": [params.tag_vocab.symbol_of(i) for i in ids]},
-            sort_keys=True))
-    _write_lines(args.out, lines)
+    tags = predict_tags(params, [ex.utterance for ex in corpus])
+    _write_lines(args.out, [json.dumps(
+        {"id": ex.example_id, "tokens": list(ex.utterance.tokens),
+         "tags": [params.tag_vocab.symbol_of(i) for i in ids]},
+        sort_keys=True) for ex, ids in zip(corpus, tags)])
     return 0
 
 

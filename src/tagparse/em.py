@@ -38,7 +38,7 @@ from .data import SymbolSet
 from .nn import Vocab
 from .optim import Adam
 from .tagger import (TagDistribution, TaggerConfig, TaggerParams, TagVocabulary, init_tagger,
-                     predict_tags, save_tagger, _batch_distribution as tag_distribution)
+                     predict_tags, save_tagger, tag_distribution)
 
 __all__ = ["EmError", "EmConfig", "AlignmentPosterior", "PROB_FLOOR",
            "compute_posteriors", "fix_linked_posteriors", "harden_posteriors",
@@ -182,12 +182,10 @@ def gold_tag_ids(example, tag_vocab: TagVocabulary) -> np.ndarray:
 
 def tag_accuracy(params: TaggerParams, corpus) -> float:
     """Per-word accuracy of predicted tags against gold alignments."""
-    hits = total = 0
-    for ex in corpus:
-        gold = gold_tag_ids(ex, params.tag_vocab)
-        pred = predict_tags(params, ex.utterance)
-        hits += int((pred == gold).sum())
-        total += gold.size
+    gold = [gold_tag_ids(ex, params.tag_vocab) for ex in corpus]
+    pred = predict_tags(params, [ex.utterance for ex in corpus])
+    hits = sum(int((p == g).sum()) for p, g in zip(pred, gold))
+    total = sum(g.size for g in gold)
     return hits / total if total else float("nan")
 
 

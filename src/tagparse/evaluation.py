@@ -133,21 +133,26 @@ class EvalReport:
         return doc
 
 
+def _check_record(record, where: str) -> dict:
+    if not (isinstance(record, dict) and "id" in record and "prediction" in record
+            and not isinstance(record["id"], (list, dict))):
+        raise EvalError(f"{where}: prediction records need a string or number 'id' "
+                        f"and a 'prediction', got {record!r:.60}")
+    return record
+
+
 def _load_predictions(predictions) -> List[dict]:
     if isinstance(predictions, (list, tuple)):
-        records = list(predictions)
-    else:
-        records = []
-        with open(predictions) as f:
-            for k, line in enumerate(f, 1):
-                if line.strip():
-                    try:
-                        records.append(json.loads(line))
-                    except json.JSONDecodeError as e:
-                        raise EvalError(f"{predictions}:{k}: invalid JSON: {e}") from e
-    for r in records:
-        if "id" not in r or "prediction" not in r:
-            raise EvalError("prediction records need 'id' and 'prediction' fields")
+        return [_check_record(r, f"record {k}") for k, r in enumerate(predictions, 1)]
+    records = []
+    with open(predictions) as f:
+        for k, line in enumerate(f, 1):
+            if line.strip():
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise EvalError(f"{predictions}:{k}: invalid JSON: {e}") from e
+                records.append(_check_record(record, f"{predictions}:{k}"))
     return records
 
 

@@ -47,6 +47,9 @@ MODELS = ("tagged", "baseline")
 
 _TOP_KEYS = {"seeds", "data", "anonymize", "split", "em", "tagger", "parser",
              "decode", "models", "workers"}
+# the JSON type of each structured key; null stands for the default
+_KEY_TYPES = {**dict.fromkeys(("data", "split", "em", "tagger", "parser", "decode"), dict),
+              "seeds": (list, tuple), "models": (list, tuple)}
 
 
 class ExperimentError(RuntimeError):
@@ -60,6 +63,11 @@ def resolve_config(raw: dict) -> dict:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ExperimentError(f"unknown config keys {sorted(unknown)}")
+    for key, kind in _KEY_TYPES.items():
+        if raw.get(key) is not None and not isinstance(raw[key], kind):
+            raise ExperimentError(f"config key '{key}' must be a JSON "
+                                  f"{'object' if kind is dict else 'list'}, "
+                                  f"not {type(raw[key]).__name__}")
 
     data = raw.get("data") or {}
     if "path" in data:

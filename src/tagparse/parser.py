@@ -300,8 +300,9 @@ def train_parser(corpus, tagger_params: Optional[TaggerParams],
 
 def _tags(tagger_params, corpus, config) -> list:
     """Predicted tags per example, or None per example for the baseline."""
-    return [predict_tags(tagger_params, ex.utterance) if config.use_tags else None
-            for ex in corpus]
+    if not config.use_tags:
+        return [None] * len(corpus)
+    return predict_tags(tagger_params, [ex.utterance for ex in corpus])
 
 
 @dataclass(frozen=True)
@@ -381,7 +382,7 @@ def parse(tagger_params: Optional[TaggerParams], parser_params: ParserParams,
     if parser_params.config.use_tags:
         if tagger_params is None:
             raise ParserError("tag-augmented parsing needs a trained tagger")
-        tag_ids = predict_tags(tagger_params, utterance)
+        tag_ids = predict_tags(tagger_params, [utterance])[0]
         tag_names = tuple(tagger_params.tag_vocab.symbol_of(i) for i in tag_ids)
     else:
         tag_ids, tag_names = None, ()

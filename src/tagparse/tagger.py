@@ -26,8 +26,8 @@ from .checkpoint import (config_from_meta, load_checkpoint, restore_parameters,
 from .nn import BiLstmEncoder, Vocab
 
 __all__ = ["NULL_TAG", "UNK_TAG", "TagVocabulary", "TaggerConfig",
-           "TaggerParams", "TagDistribution", "init_tagger", "encode",
-           "tag_distribution", "predict_tags", "save_tagger", "load_tagger"]
+           "TaggerParams", "TagDistribution", "init_tagger", "tag_distribution",
+           "predict_tags", "save_tagger", "load_tagger"]
 
 NULL_TAG = "<null>"
 UNK_TAG = "<unk-symbol>"
@@ -133,36 +133,25 @@ def _tokens(utterance) -> Sequence[str]:
     return utterance.tokens if hasattr(utterance, "tokens") else tuple(utterance)
 
 
-def _embed_and_encode(params: TaggerParams, utterances):
-    """Word embeddings and contextual states of utterances stacked row-wise."""
+def tag_distribution(params: TaggerParams, utterances) -> TagDistribution:
+    """Tag distributions of utterances as one matrix, their rows stacked in order."""
     ids = [params.word_vocab.encode(_tokens(u)) for u in utterances]
     x = ad.embedding(params.embedding, np.concatenate(ids))
-    return x, params.encoder.encode(x, [len(i) for i in ids])
-
-
-def encode(params: TaggerParams, utterance) -> Tensor:
-    """Contextual states h_i = [h_forward; h_backward], shape (n, 2H)."""
-    return _embed_and_encode(params, [utterance])[1]
-
-
-def _batch_distribution(params: TaggerParams, utterances) -> TagDistribution:
-    """Tag distributions of B utterances as one matrix, their rows stacked in order."""
-    x, h = _embed_and_encode(params, utterances)
+    h = params.encoder.encode(x, [len(i) for i in ids])
     logits = ad.add(ad.add(ad.matmul(h, ad.transpose(params.w_out)),
                            ad.matmul(x, ad.transpose(params.u_out))),
                     params.b_out)
     return TagDistribution(probs=ad.softmax(logits), tag_vocab=params.tag_vocab)
 
 
-def tag_distribution(params: TaggerParams, utterance) -> TagDistribution:
-    return _batch_distribution(params, [utterance])
-
-
-def predict_tags(params: TaggerParams, utterance) -> np.ndarray:
-    """Per-word argmax tag ids; ties break toward the lowest id."""
+def predict_tags(params: TaggerParams, utterances) -> List[np.ndarray]:
+    """Per-word argmax tag ids, one array per utterance; ties break toward the lowest id."""
+    if not utterances:
+        return []
     with ad.no_grad():
-        dist = tag_distribution(params, utterance)
-    return np.argmax(dist.matrix, axis=1)
+        dist = tag_distribution(params, utterances)
+    ends = np.cumsum([len(_tokens(u)) for u in utterances])
+    return np.split(np.argmax(dist.matrix, axis=1), ends[:-1])
 
 
 def save_tagger(path, params: TaggerParams) -> None:

@@ -3,9 +3,10 @@
 They compute the same functions out of small autodiff ops: the LSTM cell
 as a per-gate chain of column slices, sigmoids, tanhs and products run
 one (1, 4H) row at a time, one sequence at a time, the encoder with one
-concat per word, the parser and EM losses as the mean of per-example
-losses, and beam search with one decoder step per hypothesis.  Tests
-compare the library against them; the package never uses them.
+concat per word, the tagger one utterance at a time, the parser and EM
+losses as the mean of per-example losses, and beam search with one
+decoder step per hypothesis.  Tests compare the library against them;
+the package never uses them.
 """
 
 import contextlib
@@ -64,6 +65,16 @@ def gate_encode(encoder, xs):
                                     gate_run(bwd, current, reverse=True))]
         current = ad.concat(per_word, axis=0)
     return current
+
+
+def gate_tag_distribution(params, words):
+    """(n, |tags|) tag probabilities of one utterance through the per-word encoder."""
+    x = ad.embedding(params.embedding, params.word_vocab.encode(words))
+    logits = ad.add(ad.add(ad.matmul(gate_encode(params.encoder, x),
+                                     ad.transpose(params.w_out)),
+                           ad.matmul(x, ad.transpose(params.u_out))),
+                    params.b_out)
+    return ad.softmax(logits)
 
 
 @contextlib.contextmanager
@@ -150,7 +161,7 @@ def em_example_loss(dist, posterior):
 def em_mean_loss(params, utterances, posteriors):
     """EM minibatch loss as the mean of per-utterance losses, each from its
     own tag distribution."""
-    return mean_of([em_example_loss(tag_distribution(params, u), post)
+    return mean_of([em_example_loss(tag_distribution(params, [u]), post)
                     for u, post in zip(utterances, posteriors)])
 
 

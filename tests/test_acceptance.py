@@ -133,7 +133,7 @@ def tagger_softmax_setup():
     onehot = np.eye(5)[np.random.default_rng(5).integers(0, 5, size=len(words))]
 
     def loss_fn():
-        return ad.cross_entropy(tag_distribution(params, words).probs, onehot)
+        return ad.cross_entropy(tag_distribution(params, [words]).probs, onehot)
 
     return loss_fn, params
 

@@ -109,6 +109,30 @@ def test_tag_command_emits_tag_names(pipeline, capsys):
         assert "ci0" in r["tokens"]          # anonymized by default
 
 
+def test_tag_command_tags_the_section_in_one_call(pipeline, capsys, monkeypatch):
+    import tagparse.cli as cli_module
+    predict, calls = cli_module.predict_tags, []
+
+    def counting_predict(params, utterances):
+        calls.append(len(utterances))
+        return predict(params, utterances)
+
+    monkeypatch.setattr(cli_module, "predict_tags", counting_predict)
+    code, _, _ = run_cli(capsys, "tag", "--corpus", str(pipeline["corpus"]),
+                         "--split", str(pipeline["split"]),
+                         "--checkpoint", str(pipeline["tagger"]))
+    assert code == 0
+    assert calls == [3]
+
+
+def test_tag_command_on_empty_corpus_prints_nothing(pipeline, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    code, out, err = run_cli(capsys, "tag", "--corpus", str(empty),
+                             "--checkpoint", str(pipeline["tagger"]))
+    assert (code, out, err) == (0, "", "")
+
+
 def test_extract_symbols_reproduces_worked_rows(capsys):
     code, out, _ = run_cli(capsys, "extract-symbols",
                            "--meaning", LAMBDA_MEANING, "--formalism", "lambda")
@@ -259,6 +283,29 @@ def test_evaluate_reports_id_mismatch(pipeline, tmp_path, capsys):
     assert "missing predictions" in err
 
 
+BAD_PREDICTION_LINES = {
+    "a number": ("5", "5"),
+    "null": ("null", "None"),
+    "a list id": ('{"id": [1], "prediction": "a"}', "[1]"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PREDICTION_LINES))
+def test_evaluate_bad_prediction_line_is_one_line_error(case, pipeline, tmp_path,
+                                                        capsys):
+    line, shown = BAD_PREDICTION_LINES[case]
+    broken = tmp_path / "broken.jsonl"
+    rows = pipeline["pred"].read_text().splitlines()
+    broken.write_text("\n".join([rows[0], line, *rows[1:]]) + "\n")
+    code, _, err = run_cli(capsys, "evaluate",
+                           "--predictions", str(broken),
+                           "--gold", str(pipeline["corpus"]),
+                           "--split", str(pipeline["split"]))
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {broken}:2: ") and shown in err
+
+
 def test_run_experiment_command(tmp_path, capsys):
     config = {
         "seeds": [0],
@@ -284,13 +331,28 @@ def test_run_experiment_command(tmp_path, capsys):
     assert (out_dir / "report.tsv").is_file()
 
 
-def test_bad_experiment_config_exits_nonzero(tmp_path, capsys):
+BAD_EXPERIMENT_CONFIGS = {
+    "invalid JSON": "{oops",
+    "em a list": '{"em": [1]}',
+    "split a list": '{"split": [1]}',
+    "data a list": '{"data": [1]}',
+    "decode a number": '{"decode": 5}',
+    "seeds a number": '{"seeds": 3}',
+    "models a number": '{"models": 3}',
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_EXPERIMENT_CONFIGS))
+def test_bad_experiment_config_exits_nonzero(case, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{oops")
+    bad.write_text(BAD_EXPERIMENT_CONFIGS[case])
     code, _, err = run_cli(capsys, "run-experiment", "--config", str(bad),
                            "--out", str(tmp_path / "out"))
     assert code == 1
-    assert "error:" in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    key = case.split()[0]
+    if key != "invalid":
+        assert f"'{key}'" in err
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -266,12 +266,12 @@ def em_loss_setup(hard_phase):
 
     # The E-step posterior is a constant of the M-step objective, so it
     # is frozen at the initial parameters; only log p(z|x) varies.
-    post = compute_posteriors(tag_distribution(params, words), sset)
+    post = compute_posteriors(tag_distribution(params, [words]), sset)
     if hard_phase:
         post = harden_posteriors(post, 0.26)
 
     def loss_fn():
-        return em_loss(tag_distribution(params, words), [post])
+        return em_loss(tag_distribution(params, [words]), [post])
 
     return loss_fn, params
 
@@ -324,6 +324,27 @@ def test_gold_tags_and_accuracy():
     from dataclasses import replace
     with pytest.raises(EmError, match="gold"):
         gold_tag_ids(replace(ex, gold_alignment=None), tv)
+
+
+def test_tag_accuracy_tags_the_corpus_in_one_call(monkeypatch):
+    import tagparse.em as em_module
+    corpus = synthetic_corpus()
+    words = [w for ex in corpus for w in ex.utterance.tokens]
+    params = init_tagger(Vocab(words), TagVocabulary.from_corpus(corpus),
+                         TaggerConfig(embedding_size=4, hidden_size=4), seed=0)
+    calls = []
+
+    def counting_predict(params, utterances):
+        calls.append(len(utterances))
+        return predict_tags(params, utterances)
+
+    monkeypatch.setattr(em_module, "predict_tags", counting_predict)
+    pred = predict_tags(params, [ex.utterance for ex in corpus])
+    gold = [gold_tag_ids(ex, params.tag_vocab) for ex in corpus]
+    want = sum(int((p == g).sum()) for p, g in zip(pred, gold)) / sum(g.size for g in gold)
+    assert tag_accuracy(params, corpus) == want
+    assert calls == [len(corpus)]
+    assert np.isnan(tag_accuracy(params, []))
 
 
 def test_train_loss_decreases(tmp_path):
@@ -408,5 +429,5 @@ def test_training_improves_gold_tag_accuracy():
     params = train_tagger(corpus, cfg,
                           tagger_config=TaggerConfig(embedding_size=12, hidden_size=12))
     assert tag_accuracy(params, corpus) >= 0.8
-    pred = predict_tags(params, corpus[0].utterance)
+    pred = predict_tags(params, [corpus[0].utterance])[0]
     assert pred.shape == (corpus[0].utterance.n,)

@@ -1,5 +1,5 @@
-"""Fused LSTM ops, the batched parser and EM losses and batched beam search
-against the per-gate, per-example and per-hypothesis oracles."""
+"""Fused LSTM ops, the batched tagger, parser and EM losses and batched beam
+search against the per-gate, per-example and per-hypothesis oracles."""
 
 import numpy as np
 import pytest
@@ -14,10 +14,11 @@ from tagparse.parser import (BOS, EOS, DecodeConfig, ParserConfig, _batch_loss,
                              _decoder_step, _sequence_loss, _start, decode,
                              init_parser)
 from tagparse.tagger import (NULL_TAG, UNK_TAG, TaggerConfig, TagVocabulary,
-                             _batch_distribution, init_tagger, tag_distribution)
+                             init_tagger, predict_tags, tag_distribution)
 
 from tests.oracles import (beam_decode, em_mean_loss, gate_run, gate_step,
-                           mean_loss, parser_cells, per_gate_cells, row_blocks)
+                           gate_tag_distribution, mean_loss, parser_cells,
+                           per_gate_cells, row_blocks)
 from tests.test_parser import UTT, tiny_parser
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -65,8 +66,8 @@ def test_ragged_lstm_sequence_matches_separate_runs(seed, H, lengths, reverse):
     rng, cell, x = cell_and_inputs(seed, H, sum(lengths))
     weights = rng.normal(size=(sum(lengths), H))
     stacked = cell.run(x, reverse, lengths)
-    separate = ad.concat([cell.run(block, reverse) for block in row_blocks(x, lengths)],
-                         axis=0)
+    separate = ad.concat([h for block in row_blocks(x, lengths)
+                          for h in gate_run(cell, block, reverse)], axis=0)
     assert stacked.data.shape == (sum(lengths), H)
     assert np.abs(stacked.data - separate.data).max() <= 1e-12
     params = [x, *cell.parameters()]
@@ -236,6 +237,22 @@ def test_beam_ties_go_to_earlier_hypothesis_then_lower_token_id(banded):
         ends = beam >= 3 and not banded
         assert got.token_ids == (() if ends else (0,) * 6)
         assert got.truncated == (not ends)
+    if banded:
+        return
+    # one token ahead of the tied rest: from step 2 on, 13 or more tied
+    # candidates trail the best one in a ranking of 28 or more, long enough
+    # for numpy's default (unstable) sort to reorder the ties
+    params.b_out.data[5] = 1.0
+    for beam in (2, 3, 5, 7):
+        config = DecodeConfig(beam_size=beam, max_length=6)
+        got = decode(params, UTT, tags, config)
+        want = beam_decode(params, UTT, tags, config)
+        assert (got.token_ids, got.truncated) == (want.token_ids, want.truncated)
+        np.testing.assert_allclose(got.score, want.score, rtol=1e-12)
+        # the end marker enters the beam only behind lower ids
+        ends = beam >= 5
+        assert got.token_ids == (() if ends else (5,) * 6)
+        assert got.truncated == (not ends)
 
 
 def exhaustive_best(params, utterance, tags, max_length):
@@ -317,13 +334,40 @@ def test_batched_em_loss_equals_mean_of_per_example_losses(seed, size, hard, lin
     utterances, symbol_sets = em_batch(seed, size, linked)
     posteriors = []
     for words, sset in zip(utterances, symbol_sets):
-        post = compute_posteriors(tag_distribution(params, words), sset)
+        post = compute_posteriors(tag_distribution(params, [words]), sset)
         posteriors.append(harden_posteriors(post, 0.26) if hard else post)
     assert all(p.fixed_columns for p in posteriors) == linked
-    got = em_loss(_batch_distribution(params, utterances), posteriors)
+    got = em_loss(tag_distribution(params, utterances), posteriors)
     want = em_mean_loss(params, utterances, posteriors)
     assert rel_err(got.data, want.data) <= 1e-9
     grads = ad.backward(got, params.parameters())
     oracle = ad.backward(want, params.parameters())
     for p in params.parameters():
         assert rel_err(grads[p], oracle[p]) <= 1e-9, p.name
+
+
+@given(seed=seeds, lengths=ragged, hidden_size=hidden, num_layers=st.integers(1, 2))
+def test_batched_tagger_matches_per_utterance_oracle(seed, lengths, hidden_size,
+                                                     num_layers):
+    params = init_tagger(Vocab(TAGGER_WORDS), TagVocabulary(TAGGER_SYMBOLS),
+                         TaggerConfig(embedding_size=4, hidden_size=hidden_size,
+                                      num_layers=num_layers), seed=seed)
+    rng = np.random.default_rng(seed)
+    params.b_out.data[:] = rng.normal(size=params.b_out.data.shape)
+    # an unseen word takes the unknown row
+    utterances = [list(rng.choice(TAGGER_WORDS + ["unseen"], size=n)) for n in lengths]
+    dist = tag_distribution(params, utterances)
+    blocks = [gate_tag_distribution(params, words) for words in utterances]
+    got_blocks = np.split(dist.matrix, np.cumsum(lengths)[:-1])
+    for got, want in zip(got_blocks, blocks):
+        assert np.abs(got - want.data).max() <= 1e-12
+    weights = rng.normal(size=dist.matrix.shape)
+    grads = ad.backward(weighted_sum(dist.probs, weights), params.parameters())
+    oracle = ad.backward(weighted_sum(ad.concat(blocks, axis=0), weights),
+                         params.parameters())
+    for p in params.parameters():
+        assert rel_err(grads[p], oracle[p]) <= 1e-9, p.name
+    tags = predict_tags(params, utterances)
+    assert len(tags) == len(utterances)
+    for got, want in zip(tags, blocks):
+        assert np.array_equal(got, np.argmax(want.data, axis=1))

@@ -151,7 +151,7 @@ def test_beam_score_dominates_greedy(trained):
     corpus, tagger, parser = trained
     from tagparse.tagger import predict_tags
     for ex in corpus[:4]:
-        tags = predict_tags(tagger, ex.utterance)
+        tags = predict_tags(tagger, [ex.utterance])[0]
         greedy = decode(parser, ex.utterance, tags,
                         DecodeConfig(beam_size=1, max_length=40))
         beamed = decode(parser, ex.utterance, tags,
@@ -162,7 +162,7 @@ def test_beam_score_dominates_greedy(trained):
 def test_decode_truncation_flag(trained):
     corpus, tagger, parser = trained
     from tagparse.tagger import predict_tags
-    tags = predict_tags(tagger, corpus[0].utterance)
+    tags = predict_tags(tagger, [corpus[0].utterance])[0]
     result = decode(parser, corpus[0].utterance, tags,
                     DecodeConfig(beam_size=2, max_length=3))
     assert result.truncated and len(result.tokens) == 3
@@ -190,7 +190,7 @@ def test_autoregressive_prefix_stability(trained):
     corpus, tagger, parser = trained
     from tagparse.tagger import predict_tags
     ex = corpus[2]
-    tags = predict_tags(tagger, ex.utterance)
+    tags = predict_tags(tagger, [ex.utterance])[0]
     full = decode(parser, ex.utterance, tags, DecodeConfig(beam_size=1, max_length=40))
     ids, _, _ = greedy_oracle(parser, ex.utterance, tags, 40)
     assert list(full.token_ids) == ids
@@ -214,13 +214,12 @@ def test_dev_tags_predicted_once(trained, tmp_path, monkeypatch):
     import tagparse.parser as parser_module
     corpus, tagger, _ = trained
     train, dev = corpus[:6], corpus[6:]
-    dev_utterances = {ex.utterance for ex in dev}
     predict, decode_ = parser_module.predict_tags, parser_module.decode
-    tagged, decoded = [], []
+    calls, decoded = [], []
 
-    def counting_predict(params, utterance):
-        tagged.append(utterance)
-        return predict(params, utterance)
+    def counting_predict(params, utterances):
+        calls.append(list(utterances))
+        return predict(params, utterances)
 
     def recording_decode(params, utterance, tags=None, config=DecodeConfig()):
         decoded.append((utterance, tags))
@@ -234,14 +233,15 @@ def test_dev_tags_predicted_once(trained, tmp_path, monkeypatch):
                                        hidden_size=12, epochs=3, batch_size=4,
                                        learning_rate=0.02, seed=0),
                           dev_corpus=dev, log_file=log)
-    assert sum(u in dev_utterances for u in tagged) == len(dev)
+    # one call tags the training set, one the dev set
+    assert calls == [[ex.utterance for ex in train], [ex.utterance for ex in dev]]
     # every epoch's dev decode gets the tags a fresh prediction gives, so
     # the logged dev column is what re-tagging each epoch would log
     assert len(decoded) == 3 * len(dev)
     for utterance, tags in decoded:
-        np.testing.assert_array_equal(tags, predict(tagger, utterance))
+        np.testing.assert_array_equal(tags, predict(tagger, [utterance])[0])
     last = log.read_text().splitlines()[-1].split("\t")
-    hits = sum(decode_(params, ex.utterance, predict(tagger, ex.utterance)).tokens
+    hits = sum(decode_(params, ex.utterance, predict(tagger, [ex.utterance])[0]).tokens
                == ex.meaning.tokens for ex in dev)
     assert last[0] == "2" and last[2] == f"{hits / len(dev):.4f}"
 

@@ -5,7 +5,7 @@ import pytest
 
 from tagparse import autodiff as ad
 from tagparse.nn import Vocab
-from tagparse.tagger import (TagVocabulary, TaggerConfig, encode, init_tagger,
+from tagparse.tagger import (TagVocabulary, TaggerConfig, init_tagger,
                              load_tagger, predict_tags, save_tagger,
                              tag_distribution)
 
@@ -16,6 +16,12 @@ def small_params(hidden=6, emb=5, seed=0, symbols=("flight", "from", "to", "morn
     return init_tagger(Vocab(WORDS), TagVocabulary(symbols),
                        TaggerConfig(embedding_size=emb, hidden_size=hidden),
                        seed=seed)
+
+
+def encode(params, words):
+    """Contextual states h_i = [h_forward; h_backward] of one utterance, (n, 2H)."""
+    x = ad.embedding(params.embedding, params.word_vocab.encode(words))
+    return params.encoder.encode(x)
 
 
 def np_softmax(x):
@@ -59,7 +65,7 @@ def test_distribution_rows_stochastic():
     for _ in range(20):
         n = int(rng.integers(1, 9))
         utt = [WORDS[i] for i in rng.integers(0, len(WORDS), size=n)]
-        m = tag_distribution(params, utt).matrix
+        m = tag_distribution(params, [utt]).matrix
         assert m.shape == (n, 6)
         assert np.all(m >= 0) and np.all(m <= 1)
         np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-9)
@@ -69,9 +75,9 @@ def test_zero_output_weights_give_uniform_rows():
     params = small_params()
     for p in (params.w_out, params.u_out, params.b_out):
         p.data[:] = 0.0
-    m = tag_distribution(params, WORDS).matrix
+    m = tag_distribution(params, [WORDS]).matrix
     np.testing.assert_allclose(m, 1.0 / 6.0, atol=1e-12)
-    assert predict_tags(params, WORDS).tolist() == [0] * len(WORDS)  # tie-break
+    assert predict_tags(params, [WORDS])[0].tolist() == [0] * len(WORDS)  # tie-break
 
 
 def test_logits_match_dense_oracle():
@@ -80,12 +86,12 @@ def test_logits_match_dense_oracle():
     x = params.embedding.data[ids]
     h = encode(params, WORDS).data
     logits = h @ params.w_out.data.T + x @ params.u_out.data.T + params.b_out.data
-    np.testing.assert_allclose(tag_distribution(params, WORDS).matrix,
+    np.testing.assert_allclose(tag_distribution(params, [WORDS]).matrix,
                                np_softmax(logits), atol=1e-12)
     # shifting every logit in a row leaves the argmax unchanged
     shifted = logits + np.arange(1, len(WORDS) + 1)[:, None] * 3.7
     assert np.array_equal(np_softmax(shifted).argmax(axis=1),
-                          predict_tags(params, WORDS))
+                          predict_tags(params, [WORDS])[0])
 
 
 def test_permuting_tag_ids_permutes_columns():
@@ -95,8 +101,8 @@ def test_permuting_tag_ids_permutes_columns():
     permuted.w_out.data = params.w_out.data[old_of].copy()
     permuted.u_out.data = params.u_out.data[old_of].copy()
     permuted.b_out.data = params.b_out.data[old_of].copy()
-    np.testing.assert_allclose(tag_distribution(permuted, WORDS).matrix,
-                               tag_distribution(params, WORDS).matrix[:, old_of],
+    np.testing.assert_allclose(tag_distribution(permuted, [WORDS]).matrix,
+                               tag_distribution(params, [WORDS]).matrix[:, old_of],
                                atol=1e-12)
 
 
@@ -104,7 +110,7 @@ def test_word_loss_gradient_touches_only_that_row():
     # Conditional independence: a loss on word i's distribution row has
     # exactly zero gradient on every other row of the probability matrix.
     params = small_params()
-    dist = tag_distribution(params, WORDS[:5])
+    dist = tag_distribution(params, [WORDS[:5]])
     weights = np.zeros_like(dist.matrix)
     weights[2, 3] = 1.0
     loss = ad.cross_entropy(dist.probs, weights)
@@ -117,16 +123,23 @@ def test_word_loss_gradient_touches_only_that_row():
 
 def test_unknown_words_use_unknown_embedding():
     params = small_params()
-    a = predict_tags(params, ["qqq", "from", "boston"])
-    b = predict_tags(params, ["zzz", "from", "boston"])
+    a, b = predict_tags(params, [["qqq", "from", "boston"], ["zzz", "from", "boston"]])
     assert np.array_equal(a, b)            # both map to the same unk row
 
 
 def test_predict_deterministic():
     params = small_params(seed=11)
-    a = predict_tags(params, WORDS)
-    b = predict_tags(params, WORDS)
-    assert np.array_equal(a, b)
+    a = predict_tags(params, [WORDS])
+    b = predict_tags(params, [WORDS])
+    assert np.array_equal(a[0], b[0])
+
+
+def test_predict_tags_gives_one_array_per_utterance():
+    params = small_params(seed=12)
+    utterances = [WORDS, WORDS[:1], WORDS[3:6]]
+    tags = predict_tags(params, utterances)
+    assert [t.shape for t in tags] == [(8,), (1,), (3,)]
+    assert predict_tags(params, []) == []
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -136,8 +149,8 @@ def test_checkpoint_round_trip(tmp_path):
     loaded = load_tagger(path)
     assert loaded.word_vocab.id2tok == params.word_vocab.id2tok
     assert loaded.tag_vocab.id2sym == params.tag_vocab.id2sym
-    np.testing.assert_array_equal(tag_distribution(loaded, WORDS).matrix,
-                                  tag_distribution(params, WORDS).matrix)
+    np.testing.assert_array_equal(tag_distribution(loaded, [WORDS]).matrix,
+                                  tag_distribution(params, [WORDS]).matrix)
     again = tmp_path / "again.json"
     save_tagger(again, loaded)
     assert path.read_bytes() == again.read_bytes()
