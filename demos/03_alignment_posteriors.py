@@ -30,13 +30,13 @@ symbol_set = SymbolSet(symbols=tuple(symbols), padded_length=len(words),
                        fixed_alignments={})
 
 # The tagger scores every word against every tag...
-dist = tag_distribution(params, [utterance])
+probs = tag_distribution(params, [utterance]).data
 print("tag distribution rows (one per word):")
-print(np.round(dist.matrix, 3))
+print(np.round(probs, 3))
 
 # ...and the posterior renormalizes each symbol's column, treating the
 # alignment of each symbol as independent of the others.
-posterior = compute_posteriors(dist, symbol_set)
+posterior = compute_posteriors(probs, symbol_set, tag_vocab)
 print("\nsoft posterior (columns are symbols then nulls):")
 print(np.round(posterior.matrix, 3))
 print("symbol columns sum to:",

@@ -29,9 +29,8 @@ from .parser import (DecodeConfig, DecodeResult, ParseResult, ParserConfig,
                      ParserError, ParserParams, decode, embed_inputs,
                      init_parser, load_parser, parse, save_parser,
                      train_parser)
-from .tagger import (TagDistribution, TaggerConfig, TaggerParams,
-                     TagVocabulary, init_tagger, load_tagger, predict_tags,
-                     save_tagger, tag_distribution)
+from .tagger import (TaggerConfig, TaggerParams, TagVocabulary, init_tagger,
+                     load_tagger, predict_tags, save_tagger, tag_distribution)
 
 __all__ = [
     "__version__",
@@ -43,9 +42,8 @@ __all__ = [
     "tokenize_meaning", "tokenize_utterance",
     "SplitError", "SplitSpec", "make_split",
     # tagger and EM training
-    "TagDistribution", "TaggerConfig", "TaggerParams", "TagVocabulary",
-    "init_tagger", "load_tagger", "predict_tags", "save_tagger",
-    "tag_distribution",
+    "TaggerConfig", "TaggerParams", "TagVocabulary", "init_tagger",
+    "load_tagger", "predict_tags", "save_tagger", "tag_distribution",
     "AlignmentPosterior", "EmConfig", "EmError", "compute_posteriors",
     "em_loss", "fix_linked_posteriors", "gold_tag_ids", "harden_posteriors",
     "tag_accuracy", "train_tagger",

@@ -32,14 +32,13 @@ __all__ = [
     "transpose",
     "concat",
     "cols",
-    "sigmoid",
     "tanh",
     "softmax",
     "lstm_step",
     "lstm_sequence",
     "embedding",
     "cross_entropy",
-    "tsum",
+    "PROB_FLOOR",
     "backward",
     "glorot",
     "finite_diff_check",
@@ -86,10 +85,6 @@ class Tensor:
         self.needs_grad = needs_grad
         self.name = name
         self._id = next(_ids)
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def __repr__(self):
         tag = self.name or ("param" if self.needs_grad and not self.parents else "tensor")
@@ -231,16 +226,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(a) -> Tensor:
-    a = _coerce(a)
-    out = _sigmoid(a.data)
-
-    def bwd(g):
-        return (g * out * (1.0 - out),)
-
-    return _node(out, (a,), bwd)
-
-
 def tanh(a) -> Tensor:
     a = _coerce(a)
     out = np.tanh(a.data)
@@ -337,7 +322,7 @@ def _packing(lengths, n: int, reverse: bool):
     """Row order for stepping through stacked sequences: `perm`, its inverse and
     the (lo, hi) range of rows x[perm] that each step advances.  Sequences rank
     longest first, so a step's rows are its running sequences in rank order."""
-    lengths = np.asarray([n] * (n > 0) if lengths is None else lengths, dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.ndim != 1 or lengths.sum() != n or (lengths < 1).any():
         raise ShapeError(f"lstm_sequence: lengths {lengths.tolist()} do not split {n} rows")
     rank = np.argsort(-lengths, kind="stable")
@@ -350,10 +335,10 @@ def _packing(lengths, n: int, reverse: bool):
     return perm, np.argsort(perm), list(zip(offsets, offsets[1:]))
 
 
-def lstm_sequence(xproj, wh, reverse: bool = False, lengths=None) -> Tensor:
+def lstm_sequence(xproj, wh, lengths, reverse: bool = False) -> Tensor:
     """(N, H) hidden states, in input order, of an LSTM run from the zero state over
-    (N, 4H) input projections that stack sequences of `lengths` rows each (default:
-    one, none if N is 0); with `reverse` each runs from its last row.  The running
+    (N, 4H) input projections that stack sequences of `lengths` rows each; with
+    `reverse` each runs from its last row.  The running
     sequences advance as the rows of one `lstm_step` update per step, and
     backpropagation through time stays inside this one node."""
     xproj, wh = _coerce(xproj), _coerce(wh)
@@ -403,8 +388,11 @@ def embedding(table, ids) -> Tensor:
     return _node(table.data[idx], (table,), bwd)
 
 
-def cross_entropy(probs, target, floor: float = 1e-12) -> Tensor:
-    """Weighted negative log-likelihood: -sum(target * log(max(probs, floor))).
+PROB_FLOOR = 1e-12
+
+
+def cross_entropy(probs, target) -> Tensor:
+    """Weighted negative log-likelihood: -sum(target * log(max(probs, PROB_FLOOR))).
 
     `target` is treated as a constant weight array (rows need not sum to 1);
     no gradient flows into it.  The floor guards log(0); where probs fall
@@ -414,25 +402,14 @@ def cross_entropy(probs, target, floor: float = 1e-12) -> Tensor:
     t = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
     if t.shape != probs.data.shape:
         raise ShapeError(f"cross_entropy: target {t.shape} vs probs {probs.data.shape}")
-    p = np.maximum(probs.data, floor)
+    p = np.maximum(probs.data, PROB_FLOOR)
     out = np.asarray(-(t * np.log(p)).sum())
-    live = probs.data >= floor
+    live = probs.data >= PROB_FLOOR
 
     def bwd(g):
         return (np.where(live, -t / p, 0.0) * g,)
 
     return _node(out, (probs,), bwd)
-
-
-def tsum(a) -> Tensor:
-    """Sum all entries to a scalar."""
-    a = _coerce(a)
-    ash = a.data.shape
-
-    def bwd(g):
-        return (np.full(ash, g),)
-
-    return _node(np.asarray(a.data.sum()), (a,), bwd)
 
 
 def backward(root: Tensor, wrt: Iterable[Tensor]) -> dict:

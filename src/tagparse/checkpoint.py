@@ -34,19 +34,16 @@ class CheckpointError(ValueError):
     parameters that do not match the model being restored."""
 
 
-def save_checkpoint(path, params: Sequence[Tensor] | Dict[str, np.ndarray],
-                    kind: str, meta: dict | None = None) -> None:
-    """Write named parameter arrays plus metadata to `path`."""
-    if isinstance(params, dict):
-        named = params
-    else:
-        named = {}
-        for p in params:
-            if not p.name:
-                raise CheckpointError("cannot checkpoint an unnamed parameter")
-            if p.name in named:
-                raise CheckpointError(f"duplicate parameter name '{p.name}'")
-            named[p.name] = p.data
+def save_checkpoint(path, params: Sequence[Tensor], kind: str,
+                    meta: dict | None = None) -> None:
+    """Write named parameters plus metadata to `path`."""
+    named = {}
+    for p in params:
+        if not p.name:
+            raise CheckpointError("cannot checkpoint an unnamed parameter")
+        if p.name in named:
+            raise CheckpointError(f"duplicate parameter name '{p.name}'")
+        named[p.name] = p.data
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": kind,

@@ -107,10 +107,6 @@ class SymbolSet:
     def l(self) -> int:
         return len(self.symbols)
 
-    @property
-    def null_count(self) -> int:
-        return self.padded_length - len(self.symbols)
-
 
 @dataclass(frozen=True)
 class CorpusExample:

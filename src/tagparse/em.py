@@ -37,14 +37,12 @@ from .autodiff import Tensor
 from .data import SymbolSet
 from .nn import Vocab
 from .optim import Adam
-from .tagger import (TagDistribution, TaggerConfig, TaggerParams, TagVocabulary, init_tagger,
-                     predict_tags, save_tagger, tag_distribution)
+from .tagger import (TaggerConfig, TaggerParams, TagVocabulary, init_tagger, predict_tags,
+                     save_tagger, tag_distribution)
 
-__all__ = ["EmError", "EmConfig", "AlignmentPosterior", "PROB_FLOOR",
-           "compute_posteriors", "fix_linked_posteriors", "harden_posteriors",
-           "em_loss", "gold_tag_ids", "tag_accuracy", "train_tagger"]
-
-PROB_FLOOR = 1e-12
+__all__ = ["EmError", "EmConfig", "AlignmentPosterior", "compute_posteriors",
+           "fix_linked_posteriors", "harden_posteriors", "em_loss", "gold_tag_ids",
+           "tag_accuracy", "train_tagger"]
 
 
 class EmError(RuntimeError):
@@ -99,20 +97,22 @@ def _column_tag_ids(symbol_set: SymbolSet, tag_vocab: TagVocabulary) -> np.ndarr
     return np.array(ids, dtype=np.intp)
 
 
-def compute_posteriors(dist: TagDistribution, symbol_set: SymbolSet) -> AlignmentPosterior:
-    """Exact soft posterior over independent per-symbol alignments."""
-    n, l = dist.n, symbol_set.l
+def compute_posteriors(probs: np.ndarray, symbol_set: SymbolSet,
+                       tag_vocab: TagVocabulary) -> AlignmentPosterior:
+    """Exact soft posterior over independent per-symbol alignments, from one
+    utterance's (n, |tags|) tag probabilities."""
+    n, l = probs.shape[0], symbol_set.l
     if symbol_set.padded_length != n:
         raise EmError(
             f"symbol set padded to {symbol_set.padded_length}, utterance has {n} words")
     if l > n:
         raise EmError(f"more symbols ({l}) than words ({n})")
-    tag_ids = _column_tag_ids(symbol_set, dist.tag_vocab)
-    likelihood = dist.matrix[:, tag_ids]
+    tag_ids = _column_tag_ids(symbol_set, tag_vocab)
+    likelihood = probs[:, tag_ids]
     if (likelihood.sum(axis=0) == 0.0).any():
         dead = int(np.flatnonzero(likelihood.sum(axis=0) == 0.0)[0])
         raise EmError(f"column {dead} has zero likelihood at every word")
-    likelihood = np.maximum(likelihood, PROB_FLOOR)
+    likelihood = np.maximum(likelihood, ad.PROB_FLOOR)
     posterior = AlignmentPosterior(
         matrix=likelihood / likelihood.sum(axis=0, keepdims=True),
         num_symbols=l, mode="soft", tag_ids=tag_ids)
@@ -161,13 +161,13 @@ def harden_posteriors(posterior: AlignmentPosterior, beta: float) -> AlignmentPo
     return replace(posterior, matrix=hard, mode="hard")
 
 
-def em_loss(dist: TagDistribution, posteriors: Sequence[AlignmentPosterior]) -> Tensor:
-    """Mean -J over utterances whose rows `dist` stacks, one (soft or hard)
-    posterior each; gradient flows only through the log-probs."""
+def em_loss(probs: Tensor, posteriors: Sequence[AlignmentPosterior]) -> Tensor:
+    """Mean -J over utterances whose tag probabilities `probs` stacks row-wise,
+    one (soft or hard) posterior each; gradient flows only through the log-probs."""
     # column j of a posterior weights tag tag_ids[j]
-    onehot = np.eye(len(dist.tag_vocab))
+    onehot = np.eye(probs.data.shape[1])
     weights = np.concatenate([p.matrix @ onehot[p.tag_ids] for p in posteriors])
-    return ad.cross_entropy(dist.probs, weights / len(posteriors), floor=PROB_FLOOR)
+    return ad.cross_entropy(probs, weights / len(posteriors))
 
 
 def gold_tag_ids(example, tag_vocab: TagVocabulary) -> np.ndarray:
@@ -232,14 +232,14 @@ def train_tagger(corpus, config: EmConfig, dev_corpus=None, log_file=None,
                                size=min(config.batch_size, len(examples)),
                                replace=False)
             chosen = [examples[k] for k in batch]
-            dist = tag_distribution(params, [ex.utterance for ex in chosen])
-            blocks = np.split(dist.matrix, np.cumsum([ex.utterance.n for ex in chosen])[:-1])
+            probs = tag_distribution(params, [ex.utterance for ex in chosen])
+            blocks = np.split(probs.data, np.cumsum([ex.utterance.n for ex in chosen])[:-1])
             # each E-step reads its own utterance's rows, as constants
-            posteriors = [compute_posteriors(TagDistribution(ad.tensor(rows), params.tag_vocab),
-                                             ex.symbol_set) for ex, rows in zip(chosen, blocks)]
+            posteriors = [compute_posteriors(rows, ex.symbol_set, params.tag_vocab)
+                          for ex, rows in zip(chosen, blocks)]
             if phase == "hard":
                 posteriors = [harden_posteriors(p, config.beta) for p in posteriors]
-            loss = em_loss(dist, posteriors)
+            loss = em_loss(probs, posteriors)
             if not np.isfinite(loss.data):
                 raise EmError(f"loss diverged at step {step}")
             optimizer.step(ad.backward(loss, params.parameters()))

@@ -47,9 +47,12 @@ MODELS = ("tagged", "baseline")
 
 _TOP_KEYS = {"seeds", "data", "anonymize", "split", "em", "tagger", "parser",
              "decode", "models", "workers"}
-# the JSON type of each structured key; null stands for the default
-_KEY_TYPES = {**dict.fromkeys(("data", "split", "em", "tagger", "parser", "decode"), dict),
-              "seeds": (list, tuple), "models": (list, tuple)}
+# the JSON type of each key that is not a free value, and its name; null stands
+# for the default
+_KEY_TYPES = {**dict.fromkeys(("data", "split", "em", "tagger", "parser", "decode"),
+                              (dict, "object")),
+              "seeds": ((list, tuple), "list"), "models": ((list, tuple), "list"),
+              "anonymize": (bool, "boolean"), "workers": (int, "integer")}
 
 
 class ExperimentError(RuntimeError):
@@ -63,13 +66,16 @@ def resolve_config(raw: dict) -> dict:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ExperimentError(f"unknown config keys {sorted(unknown)}")
-    for key, kind in _KEY_TYPES.items():
-        if raw.get(key) is not None and not isinstance(raw[key], kind):
-            raise ExperimentError(f"config key '{key}' must be a JSON "
-                                  f"{'object' if kind is dict else 'list'}, "
-                                  f"not {type(raw[key]).__name__}")
+    raw = {key: value for key, value in raw.items() if value is not None}
+    for key, (kind, name) in _KEY_TYPES.items():
+        value = raw.get(key)
+        # a JSON true or false is a Python bool, which is also an int
+        if value is not None and (not isinstance(value, kind)
+                                  or isinstance(value, bool) and kind is not bool):
+            raise ExperimentError(f"config key '{key}' must be a JSON {name}, "
+                                  f"not {type(value).__name__}")
 
-    data = raw.get("data") or {}
+    data = raw.get("data", {})
     if "path" in data:
         if "grammar" in data:
             raise ExperimentError("data takes either 'path' or 'grammar'")
@@ -78,7 +84,7 @@ def resolve_config(raw: dict) -> dict:
         data = {"grammar": data.get("grammar"),
                 "seed": int(data.get("seed", 0))}
 
-    split = dict(raw.get("split") or {})
+    split = dict(raw.get("split", {}))
     split.setdefault("mode", "query")
     split.setdefault("ratios", [0.7, 0.3])
 
@@ -93,14 +99,14 @@ def resolve_config(raw: dict) -> dict:
     config = {
         "seeds": seeds,
         "data": data,
-        "anonymize": bool(raw.get("anonymize", True)),
+        "anonymize": raw.get("anonymize", True),
         "split": split,
-        "em": dict(raw.get("em") or {}),
-        "tagger": dict(raw.get("tagger") or {}),
-        "parser": dict(raw.get("parser") or {}),
-        "decode": dict(raw.get("decode") or {}),
+        "em": dict(raw.get("em", {})),
+        "tagger": dict(raw.get("tagger", {})),
+        "parser": dict(raw.get("parser", {})),
+        "decode": dict(raw.get("decode", {})),
         "models": models,
-        "workers": int(raw.get("workers", 1)),
+        "workers": raw.get("workers", 1),
     }
     if config["workers"] < 1:
         raise ExperimentError("workers must be >= 1")

@@ -35,9 +35,6 @@ class Vocab:
     def __len__(self):
         return len(self.id2tok)
 
-    def __contains__(self, tok):
-        return tok in self.tok2id
-
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         unk_id = self.tok2id[self.unk]
         return np.array([self.tok2id.get(t, unk_id) for t in tokens], dtype=np.intp)
@@ -68,9 +65,9 @@ class LstmCell:
         """Advance (B, 2H) [h | c] states from a precomputed (B, 4H) input projection."""
         return ad.lstm_step(xproj, state, self.wh)
 
-    def run(self, xs: Tensor, reverse: bool = False, lengths=None) -> Tensor:
+    def run(self, xs: Tensor, lengths, reverse: bool = False) -> Tensor:
         """(N, H) states of the sequences stacked in (N, I) rows; see lstm_sequence."""
-        return ad.lstm_sequence(self.project_inputs(xs), self.wh, reverse, lengths)
+        return ad.lstm_sequence(self.project_inputs(xs), self.wh, lengths, reverse)
 
 
 class BiLstmEncoder:
@@ -96,8 +93,8 @@ class BiLstmEncoder:
             out.extend(bwd.parameters())
         return out
 
-    def encode(self, xs: Tensor, lengths=None) -> Tensor:
-        """Map (N, I) rows of sequences `lengths` long (default: one) to (N, 2H) states."""
+    def encode(self, xs: Tensor, lengths) -> Tensor:
+        """Map (N, I) rows of sequences `lengths` long to (N, 2H) states."""
         for fwd, bwd in self.layers:
-            xs = ad.concat([fwd.run(xs, False, lengths), bwd.run(xs, True, lengths)], axis=1)
+            xs = ad.concat([fwd.run(xs, lengths), bwd.run(xs, lengths, reverse=True)], axis=1)
         return xs

@@ -30,7 +30,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import (config_from_meta, load_checkpoint, restore_parameters,
                          save_checkpoint)
-from .data import MeaningRepresentation, deanonymize_tokens
+from .data import deanonymize_tokens
 from .nn import BiLstmEncoder, LstmCell, Vocab
 from .optim import Adam
 from .tagger import (NULL_TAG, UNK_TAG, TaggerParams, TagVocabulary, _tokens,
@@ -108,8 +108,8 @@ class ParserParams:
 
 
 def init_parser(word_vocab: Vocab, out_vocab: Vocab, tag_vocab: TagVocabulary,
-                config: ParserConfig, formalism: str, seed: int = None) -> ParserParams:
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+                config: ParserConfig, formalism: str) -> ParserParams:
+    rng = np.random.default_rng(config.seed)
     we, te, h = (config.word_embedding_size, config.tag_embedding_size,
                  config.hidden_size)
     enc_input = we + (te if config.use_tags else 0)
@@ -222,12 +222,6 @@ def _batch_loss(params: ParserParams, utterances, tag_lists, targets) -> Tensor:
                   1.0 / batch)
 
 
-def _sequence_loss(params: ParserParams, utterance, tags,
-                   target_ids: np.ndarray) -> Tensor:
-    """Teacher-forced negative log-likelihood of one output sequence."""
-    return _batch_loss(params, [utterance], [tags], [target_ids])
-
-
 def _prepared(corpus, tagger_params, config) -> Tuple[list, str]:
     if not corpus:
         raise ParserError("empty training corpus")
@@ -313,9 +307,6 @@ class DecodeResult:
     truncated: bool
     formalism: str
 
-    def to_meaning(self) -> MeaningRepresentation:
-        return MeaningRepresentation(self.tokens, self.formalism)
-
     def text(self) -> str:
         return " ".join(self.tokens)
 
@@ -367,9 +358,6 @@ class ParseResult:
     score: float
     truncated: bool
     formalism: str
-
-    def to_meaning(self) -> MeaningRepresentation:
-        return MeaningRepresentation(self.tokens, self.formalism)
 
     def text(self) -> str:
         return " ".join(self.tokens)

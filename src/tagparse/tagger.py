@@ -26,7 +26,7 @@ from .checkpoint import (config_from_meta, load_checkpoint, restore_parameters,
 from .nn import BiLstmEncoder, Vocab
 
 __all__ = ["NULL_TAG", "UNK_TAG", "TagVocabulary", "TaggerConfig",
-           "TaggerParams", "TagDistribution", "init_tagger", "tag_distribution",
+           "TaggerParams", "init_tagger", "tag_distribution",
            "predict_tags", "save_tagger", "load_tagger"]
 
 NULL_TAG = "<null>"
@@ -97,22 +97,6 @@ class TaggerParams:
                 self.w_out, self.u_out, self.b_out]
 
 
-@dataclass
-class TagDistribution:
-    """Row-stochastic (n, |tags|) matrix of p(z_i = tag | x)."""
-
-    probs: Tensor
-    tag_vocab: TagVocabulary
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.probs.data
-
-    @property
-    def n(self) -> int:
-        return self.probs.data.shape[0]
-
-
 def init_tagger(word_vocab: Vocab, tag_vocab: TagVocabulary,
                 config: TaggerConfig = TaggerConfig(), seed: int = 0) -> TaggerParams:
     rng = np.random.default_rng(seed)
@@ -133,15 +117,16 @@ def _tokens(utterance) -> Sequence[str]:
     return utterance.tokens if hasattr(utterance, "tokens") else tuple(utterance)
 
 
-def tag_distribution(params: TaggerParams, utterances) -> TagDistribution:
-    """Tag distributions of utterances as one matrix, their rows stacked in order."""
+def tag_distribution(params: TaggerParams, utterances) -> Tensor:
+    """Row-stochastic (N, |tags|) matrix of p(z_i = tag | x) for utterances
+    whose rows it stacks in order."""
     ids = [params.word_vocab.encode(_tokens(u)) for u in utterances]
     x = ad.embedding(params.embedding, np.concatenate(ids))
     h = params.encoder.encode(x, [len(i) for i in ids])
     logits = ad.add(ad.add(ad.matmul(h, ad.transpose(params.w_out)),
                            ad.matmul(x, ad.transpose(params.u_out))),
                     params.b_out)
-    return TagDistribution(probs=ad.softmax(logits), tag_vocab=params.tag_vocab)
+    return ad.softmax(logits)
 
 
 def predict_tags(params: TaggerParams, utterances) -> List[np.ndarray]:
@@ -149,9 +134,9 @@ def predict_tags(params: TaggerParams, utterances) -> List[np.ndarray]:
     if not utterances:
         return []
     with ad.no_grad():
-        dist = tag_distribution(params, utterances)
+        probs = tag_distribution(params, utterances).data
     ends = np.cumsum([len(_tokens(u)) for u in utterances])
-    return np.split(np.argmax(dist.matrix, axis=1), ends[:-1])
+    return np.split(np.argmax(probs, axis=1), ends[:-1])
 
 
 def save_tagger(path, params: TaggerParams) -> None:

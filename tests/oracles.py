@@ -6,7 +6,8 @@ one (1, 4H) row at a time, one sequence at a time, the encoder with one
 concat per word, the tagger one utterance at a time, the parser and EM
 losses as the mean of per-example losses, and beam search with one
 decoder step per hypothesis.  Tests compare the library against them;
-the package never uses them.
+the package never uses them.  The two autodiff ops that only tests need,
+`sigmoid` and `tsum`, live here too.
 """
 
 import contextlib
@@ -16,19 +17,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from tagparse import autodiff as ad
-from tagparse.em import PROB_FLOOR
 from tagparse.parser import (BOS, EOS, DecodeResult, _decoder_step, _start,
                              embed_inputs)
 from tagparse.tagger import tag_distribution
+
+
+def sigmoid(a):
+    """Elementwise logistic function as an autodiff op."""
+    out = ad._sigmoid(a.data)
+
+    def bwd(g):
+        return (g * out * (1.0 - out),)
+
+    return ad._node(out, (a,), bwd)
+
+
+def tsum(a):
+    """Sum of all entries as a scalar autodiff op."""
+    shape = a.data.shape
+
+    def bwd(g):
+        return (np.full(shape, g),)
+
+    return ad._node(np.asarray(a.data.sum()), (a,), bwd)
 
 
 def gate_step(cell, xproj_t, h, c):
     """One LSTM step as a per-gate chain; h and c are separate (B, H) tensors."""
     H = cell.hidden_size
     gates = ad.add(xproj_t, ad.matmul(h, ad.transpose(cell.wh)))
-    i = ad.sigmoid(ad.cols(gates, 0, H))
-    f = ad.sigmoid(ad.cols(gates, H, 2 * H))
-    o = ad.sigmoid(ad.cols(gates, 2 * H, 3 * H))
+    i = sigmoid(ad.cols(gates, 0, H))
+    f = sigmoid(ad.cols(gates, H, 2 * H))
+    o = sigmoid(ad.cols(gates, 2 * H, 3 * H))
     g = ad.tanh(ad.cols(gates, 3 * H, 4 * H))
     c_next = ad.add(ad.mul(f, c), ad.mul(i, g))
     h_next = ad.mul(o, ad.tanh(c_next))
@@ -88,8 +108,8 @@ def per_gate_cells(cells):
             h, c = gate_step(cell, xproj, ad.cols(state, 0, H), ad.cols(state, H, 2 * H))
             return ad.concat([h, c], axis=1)
 
-        def run(xs, reverse=False, lengths=None):
-            blocks = row_blocks(xs, [xs.data.shape[0]] if lengths is None else lengths)
+        def run(xs, lengths, reverse=False):
+            blocks = row_blocks(xs, lengths)
             return ad.concat([h for block in blocks for h in gate_run(cell, block, reverse)],
                              axis=0)
 
@@ -150,12 +170,12 @@ def mean_loss(params, utterances, tag_lists, targets):
                     for u, t, y in zip(utterances, tag_lists, targets)])
 
 
-def em_example_loss(dist, posterior):
+def em_example_loss(probs, posterior):
     """-J of one utterance, weights accumulated one posterior column at a time."""
-    weights = np.zeros_like(dist.matrix)
+    weights = np.zeros_like(probs.data)
     for j in range(posterior.n):
         weights[:, posterior.tag_ids[j]] += posterior.matrix[:, j]
-    return ad.cross_entropy(dist.probs, weights, floor=PROB_FLOOR)
+    return ad.cross_entropy(probs, weights)
 
 
 def em_mean_loss(params, utterances, posteriors):

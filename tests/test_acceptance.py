@@ -26,11 +26,11 @@ from tagparse.em import (EmConfig, compute_posteriors, harden_posteriors,
 from tagparse.evaluation import ERROR_CLASSES, evaluate
 from tagparse.experiment import run_experiment
 from tagparse.nn import Vocab
-from tagparse.parser import EOS, _sequence_loss
+from tagparse.parser import EOS, _batch_loss
 from tagparse.tagger import TaggerConfig, TagVocabulary, init_tagger, tag_distribution
 
 from tests.test_corpus import LAMBDA_ROW, SQL_ROW
-from tests.test_em import dist_from_matrix, em_loss_setup, random_dist, symbol_set
+from tests.test_em import em_loss_setup, random_probs, symbol_set
 from tests.test_evaluation import CORRUPTIONS, corrupt, six_example_setup
 from tests.test_experiment import tiny_config, tree_hashes
 from tests.test_parser import UTT, tiny_parser
@@ -66,9 +66,9 @@ def test_posteriors_match_joint_enumeration():
         n = int(rng.integers(1, 7))
         l = int(rng.integers(1, n + 1))
         symbols = [f"s{j}" for j in rng.choice(6, size=l, replace=False)]
-        dist = random_dist(rng, n, vocab)
-        post = compute_posteriors(dist, symbol_set(symbols, n))
-        oracle = enumerate_posterior_joint(dist.matrix, post.tag_ids)
+        probs = random_probs(rng, n, vocab)
+        post = compute_posteriors(probs, symbol_set(symbols, n), vocab)
+        oracle = enumerate_posterior_joint(probs, post.tag_ids)
         worst = max(worst, float(np.abs(post.matrix - oracle).max()))
     elapsed = time.perf_counter() - start
     check("posterior enumeration oracle", worst <= 1e-12 and elapsed < 10.0,
@@ -93,13 +93,13 @@ def test_normalization_invariants_hold():
             logits[:, ids] = -8.0
             logits[int(rng.integers(n)), ids] = 8.0
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
-            dist = dist_from_matrix(e / e.sum(axis=1, keepdims=True), vocab)
+            probs = e / e.sum(axis=1, keepdims=True)
             peaked += 1
         else:
-            dist = random_dist(rng, n, vocab)
+            probs = random_probs(rng, n, vocab)
         fixed = {symbols[0]: (int(rng.integers(n)),)} if i % 7 == 0 else None
         pinned += fixed is not None
-        soft = compute_posteriors(dist, symbol_set(symbols, n, fixed=fixed))
+        soft = compute_posteriors(probs, symbol_set(symbols, n, fixed=fixed), vocab)
         hard = harden_posteriors(soft, 0.26)
         worst_col = max(worst_col, float(np.abs(soft.matrix.sum(axis=0) - 1).max()))
         worst_row = max(worst_row, float(np.abs(hard.matrix.sum(axis=1) - 1).max()))
@@ -115,7 +115,7 @@ def test_hardening_hand_example_is_exact():
     m[:, 2] = [0.5, 0.4, 0.1]        # symbol tag column
     m[:, :2] = 1.0 / 3.0             # null and unk get any positive mass
     tv = TagVocabulary(["s"])
-    soft = compute_posteriors(dist_from_matrix(m, tv), symbol_set(["s"], 3))
+    soft = compute_posteriors(m, symbol_set(["s"], 3), tv)
     hard = harden_posteriors(soft, 0.26).matrix
     expected = np.array([[1.0, 0.0, 0.0],
                          [1.0, 0.0, 0.0],
@@ -133,7 +133,7 @@ def tagger_softmax_setup():
     onehot = np.eye(5)[np.random.default_rng(5).integers(0, 5, size=len(words))]
 
     def loss_fn():
-        return ad.cross_entropy(tag_distribution(params, [words]).probs, onehot)
+        return ad.cross_entropy(tag_distribution(params, [words]), onehot)
 
     return loss_fn, params
 
@@ -145,7 +145,7 @@ def parser_step_setup():
     tags = [2, 3, 0, 4, 0]
 
     def loss_fn():
-        return _sequence_loss(params, UTT, tags, target)
+        return _batch_loss(params, [UTT], [tags], [target])
 
     return loss_fn, params
 

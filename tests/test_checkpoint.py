@@ -28,14 +28,14 @@ def test_round_trip_bit_exact(tmp_path):
 def test_identical_params_identical_bytes(tmp_path):
     arr = np.random.default_rng(1).normal(size=(5, 5))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    save_checkpoint(a, {"w": arr}, kind="x")
-    save_checkpoint(b, {"w": arr.copy()}, kind="x")
+    save_checkpoint(a, [ad.parameter(arr, "w")], kind="x")
+    save_checkpoint(b, [ad.parameter(arr.copy(), "w")], kind="x")
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_unsupported_format_version(tmp_path):
     path = tmp_path / "old.json"
-    save_checkpoint(path, {"w": np.ones(2)}, kind="x")
+    save_checkpoint(path, [ad.parameter(np.ones(2), "w")], kind="x")
     doc = json.loads(path.read_text())
     doc["format_version"] = 99
     path.write_text(json.dumps(doc))
@@ -45,7 +45,7 @@ def test_unsupported_format_version(tmp_path):
 
 def test_kind_mismatch(tmp_path):
     path = tmp_path / "m.json"
-    save_checkpoint(path, {"w": np.ones(2)}, kind="parser")
+    save_checkpoint(path, [ad.parameter(np.ones(2), "w")], kind="parser")
     with pytest.raises(CheckpointError, match="kind"):
         load_checkpoint(path, expect_kind="tagger")
 
@@ -57,7 +57,7 @@ def test_unnamed_parameter_rejected(tmp_path):
 
 def test_shape_value_count_mismatch(tmp_path):
     path = tmp_path / "bad.json"
-    save_checkpoint(path, {"w": np.ones((2, 2))}, kind="x")
+    save_checkpoint(path, [ad.parameter(np.ones((2, 2)), "w")], kind="x")
     doc = json.loads(path.read_text())
     doc["params"]["w"]["shape"] = [3, 3]
     path.write_text(json.dumps(doc))
@@ -68,7 +68,7 @@ def test_shape_value_count_mismatch(tmp_path):
 @pytest.mark.parametrize("field, value", [("shape", "2x2"), ("values", ["a"] * 4)])
 def test_malformed_entry_named(tmp_path, field, value):
     path = tmp_path / "bad.json"
-    save_checkpoint(path, {"w": np.ones((2, 2))}, kind="x")
+    save_checkpoint(path, [ad.parameter(np.ones((2, 2)), "w")], kind="x")
     doc = json.loads(path.read_text())
     doc["params"]["w"][field] = value
     path.write_text(json.dumps(doc))

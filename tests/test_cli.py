@@ -339,6 +339,8 @@ BAD_EXPERIMENT_CONFIGS = {
     "decode a number": '{"decode": 5}',
     "seeds a number": '{"seeds": 3}',
     "models a number": '{"models": 3}',
+    "anonymize a string": '{"anonymize": "no"}',
+    "workers a float": '{"workers": 2.7}',
 }
 
 

@@ -1,12 +1,17 @@
 """Corpus loading, tokenization, and entity anonymization."""
 
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tagparse.data import (CorpusError, anonymize_entities, deanonymize_example,
                            deanonymize_tokens, example_from_record, load_corpus,
                            save_corpus, template_id_for, tokenize_meaning)
+
+from tests.test_synthetic import synthetic_corpora
 
 LAMBDA_ROW = {
     "utterance": "columbus to chicago one way on thursday",
@@ -73,16 +78,36 @@ def test_formalism_argument_fills_missing_field(tmp_path):
     assert corpus[0].meaning.formalism == "sql"
 
 
-def test_lambda_tokenization_round_trip():
-    tokens = tokenize_meaning(LAMBDA_ROW["meaning"], "lambda")
-    assert tokenize_meaning(" ".join(tokens), "lambda") == tokens
-    assert tokens.count("(") == tokens.count(")")
+# every token class of each formalism; a lambda token is any run of
+# characters other than whitespace and parentheses
+LAMBDA_TOKENS = st.sampled_from(["(", ")"]) | st.from_regex(r"[^\s()]+", fullmatch=True)
+SQL_TOKENS = st.one_of(
+    st.from_regex(r'"[^"]*"', fullmatch=True), st.from_regex(r"'[^']*'", fullmatch=True),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]*", fullmatch=True),
+    st.from_regex(r"\d+(\.\d+)?", fullmatch=True),
+    st.sampled_from(["<=", ">=", "!=", "<>", *"(),;*=<>+-/%"]))
 
 
-def test_sql_tokenization_keeps_quoted_literals_whole():
-    tokens = tokenize_meaning(SQL_ROW["meaning"], "sql")
-    assert '"washington"' in tokens
-    assert tokens == tokenize_meaning(" ".join(tokens), "sql")
+@given(tokens=st.lists(LAMBDA_TOKENS, min_size=1, max_size=20), corpus=synthetic_corpora())
+def test_lambda_tokenization_round_trip(tokens, corpus):
+    worked = tokenize_meaning(LAMBDA_ROW["meaning"], "lambda")
+    assert worked.count("(") == worked.count(")")
+    for sequence in [tuple(tokens), worked, *(ex.meaning.tokens for ex in corpus)]:
+        assert tokenize_meaning(" ".join(sequence), "lambda") == sequence
+    for ex in corpus:
+        text = ex.meaning.text()
+        assert tokenize_meaning(text, ex.meaning.formalism) == ex.meaning.tokens
+        if ex.meaning.formalism == "lambda":
+            tight = text.replace("( ", "(").replace(" )", ")")
+            assert tokenize_meaning(tight, "lambda") == ex.meaning.tokens
+
+
+@given(st.lists(SQL_TOKENS, min_size=1, max_size=20))
+def test_sql_tokenization_keeps_quoted_literals_whole(tokens):
+    worked = tokenize_meaning(SQL_ROW["meaning"], "sql")
+    assert '"washington"' in worked
+    for sequence in (tuple(tokens), worked):
+        assert tokenize_meaning(" ".join(sequence), "sql") == sequence
 
 
 def test_sql_tokenization_splits_punctuation():
@@ -170,13 +195,30 @@ def test_anonymize_remaps_gold_alignments():
     assert deanonymize_example(anon).gold_alignment == ex.gold_alignment
 
 
-def test_anonymize_then_deanonymize_is_identity():
-    for record in (LAMBDA_ROW, SQL_ROW):
-        ex = example_from_record(record, 0)
-        back = deanonymize_example(anonymize_entities(ex))
-        assert back.utterance.tokens == ex.utterance.tokens
-        assert back.meaning.tokens == ex.meaning.tokens
-        assert back.utterance.entity_spans == ex.utterance.entity_spans
+def worked_rows():
+    return [example_from_record(LAMBDA_ROW, 0), example_from_record(SQL_ROW, 1)]
+
+
+def assert_indices_within(alignments, n):
+    for indices in (alignments or {}).values():
+        assert all(0 <= i < n for i in indices)
+
+
+@given(synthetic_corpora())
+def test_anonymize_then_deanonymize_is_identity(corpus):
+    for ex in worked_rows() + corpus:
+        anon = anonymize_entities(ex)
+        # every index-bearing field of the anonymized example fits its utterance
+        n = anon.utterance.n
+        assert anon.symbol_set.padded_length == n
+        assert all(0 <= s.start < s.end <= n for s in anon.utterance.entity_spans)
+        assert_indices_within(anon.symbol_set.fixed_alignments, n)
+        assert_indices_within(anon.gold_alignment, n)
+        back = deanonymize_example(anon)
+        assert back.utterance == ex.utterance
+        assert back.meaning == ex.meaning
+        assert back.symbol_set == ex.symbol_set
+        assert back.gold_alignment == ex.gold_alignment
 
 
 def test_sql_anonymization_preserves_quoting():
@@ -209,13 +251,18 @@ def test_template_id_is_function_of_meaning():
     assert "ci0" in ex.template_id and "da0" in ex.template_id
 
 
-def test_save_load_round_trip(tmp_path):
-    original = [example_from_record(LAMBDA_ROW, 0), example_from_record(SQL_ROW, 1)]
+@given(synthetic_corpora())
+def test_save_load_round_trip(tmp_path_factory, corpus):
     # Mixed formalisms per line survive the trip.
-    save_corpus(tmp_path / "c.jsonl", original)
-    loaded = load_corpus(tmp_path / "c.jsonl")
+    original = worked_rows() + [replace(ex, example_id=ex.example_id + 2) for ex in corpus]
+    path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+    save_corpus(path, original)
+    loaded = load_corpus(path)
+    assert len(loaded) == len(original)
     for a, b in zip(original, loaded):
+        assert a.example_id == b.example_id
         assert a.utterance == b.utterance
         assert a.meaning == b.meaning
         assert a.symbol_set == b.symbol_set
         assert a.template_id == b.template_id
+        assert a.gold_alignment == b.gold_alignment

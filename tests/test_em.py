@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tagparse import autodiff as ad
 from tagparse.data import SymbolSet, gen_synthetic
@@ -13,9 +15,8 @@ from tagparse.em import (AlignmentPosterior, EmConfig, EmError, _usable,
                          train_tagger)
 from tagparse.nn import Vocab
 from tagparse.optim import Adam
-from tagparse.tagger import (TagDistribution, TaggerConfig, TagVocabulary,
-                             init_tagger, load_tagger, predict_tags,
-                             tag_distribution)
+from tagparse.tagger import (TaggerConfig, TagVocabulary, init_tagger,
+                             load_tagger, predict_tags, tag_distribution)
 
 from tests.test_synthetic import cartesian_grammar
 
@@ -25,17 +26,24 @@ def np_softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def dist_from_matrix(matrix, tag_vocab):
-    return TagDistribution(probs=ad.tensor(np.asarray(matrix, dtype=np.float64)),
-                           tag_vocab=tag_vocab)
-
-
-def random_dist(rng, n, tag_vocab):
-    return dist_from_matrix(np_softmax(rng.normal(size=(n, len(tag_vocab)))),
-                            tag_vocab)
+def random_probs(rng, n, tag_vocab):
+    """A random (n, |tags|) row-stochastic tag probability matrix."""
+    return np_softmax(rng.normal(size=(n, len(tag_vocab))))
 
 
 TV = TagVocabulary(["a", "b", "c"])        # ids: null 0, unk 1, a 2, b 3, c 4
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def posterior_inputs(draw, max_words=7, min_symbols=0, nulls=0):
+    """(tag probabilities, symbol set) of an utterance of up to `max_words` words
+    with up to three of TV's symbols and at least `nulls` null columns."""
+    n = draw(st.integers(max(1, min_symbols + nulls), max_words))
+    symbols = draw(st.lists(st.sampled_from(["a", "b", "c"]), unique=True,
+                            min_size=min_symbols, max_size=min(3, n - nulls)))
+    probs = random_probs(np.random.default_rng(draw(seeds)), n, TV)
+    return probs, symbol_set(symbols, n)
 
 
 def symbol_set(symbols, n, fixed=None):
@@ -62,7 +70,7 @@ def test_posterior_two_word_hand_example():
     m = np.array([[0.1, 0.1, 0.8],
                   [0.4, 0.4, 0.2]])
     tv = TagVocabulary(["s"])
-    post = compute_posteriors(dist_from_matrix(m, tv), symbol_set(["s"], 2))
+    post = compute_posteriors(m, symbol_set(["s"], 2), tv)
     np.testing.assert_allclose(post.matrix[:, 0], [0.8, 0.2], atol=1e-12)
     np.testing.assert_allclose(post.matrix[:, 1], [0.2, 0.8], atol=1e-12)
     assert post.mode == "soft" and post.num_symbols == 1
@@ -72,37 +80,32 @@ def test_posterior_two_word_hand_example():
 def test_posterior_uniform_likelihood_gives_uniform_columns():
     row = np_softmax(np.array([0.3, -1.0, 2.0, 0.0, 1.0]))
     m = np.tile(row, (4, 1))
-    post = compute_posteriors(dist_from_matrix(m, TV), symbol_set(["a", "c"], 4))
+    post = compute_posteriors(m, symbol_set(["a", "c"], 4), TV)
     np.testing.assert_allclose(post.matrix, 0.25, atol=1e-12)
 
 
-def test_posterior_matches_enumeration_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        dist = random_dist(rng, 4, TV)
-        post = compute_posteriors(dist, symbol_set(["b", "a"], 4))
-        oracle = enumerate_posterior(dist.matrix, post.tag_ids)
-        np.testing.assert_allclose(post.matrix, oracle, atol=1e-12)
+@given(posterior_inputs(max_words=5))    # the oracle sums n ** n alignments
+def test_posterior_matches_enumeration_oracle(inputs):
+    probs, sset = inputs
+    post = compute_posteriors(probs, sset, TV)
+    oracle = enumerate_posterior(probs, post.tag_ids)
+    np.testing.assert_allclose(post.matrix, oracle, atol=1e-12)
 
 
-def test_posterior_columns_normalized():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        n = int(rng.integers(2, 8))
-        l = int(rng.integers(0, n + 1))
-        post = compute_posteriors(random_dist(rng, n, TV),
-                                  symbol_set(["a", "b", "c"][: min(l, 3)], n))
-        assert np.all(post.matrix >= 0)
-        np.testing.assert_allclose(post.matrix.sum(axis=0), 1.0, atol=1e-9)
+@given(posterior_inputs())
+def test_posterior_columns_normalized(inputs):
+    post = compute_posteriors(*inputs, TV)
+    assert np.all(post.matrix >= 0)
+    np.testing.assert_allclose(post.matrix.sum(axis=0), 1.0, atol=1e-9)
 
 
 def test_posterior_shape_mismatches_rejected():
     rng = np.random.default_rng(0)
     with pytest.raises(EmError, match="padded"):
-        compute_posteriors(random_dist(rng, 3, TV), symbol_set(["a"], 4))
+        compute_posteriors(random_probs(rng, 3, TV), symbol_set(["a"], 4), TV)
     with pytest.raises(EmError, match="more symbols"):
-        compute_posteriors(random_dist(rng, 2, TV),
-                           SymbolSet(("a", "b", "c"), padded_length=2))
+        compute_posteriors(random_probs(rng, 2, TV),
+                           SymbolSet(("a", "b", "c"), padded_length=2), TV)
 
 
 def test_posterior_zero_likelihood_column_errors():
@@ -110,13 +113,13 @@ def test_posterior_zero_likelihood_column_errors():
                   [0.5, 0.5, 0.0]])
     tv = TagVocabulary(["s"])
     with pytest.raises(EmError, match="zero likelihood"):
-        compute_posteriors(dist_from_matrix(m, tv), symbol_set(["s"], 2))
+        compute_posteriors(m, symbol_set(["s"], 2), tv)
 
 
 def test_fixed_single_index_is_one_hot():
     rng = np.random.default_rng(1)
     sset = symbol_set(["a", "b"], 7, fixed={"b": (5,)})
-    post = compute_posteriors(random_dist(rng, 7, TV), sset)
+    post = compute_posteriors(random_probs(rng, 7, TV), sset, TV)
     np.testing.assert_array_equal(post.matrix[:, 1],
                                   [0, 0, 0, 0, 0, 1, 0])
     assert post.fixed_columns == frozenset({1})
@@ -126,13 +129,13 @@ def test_fixed_single_index_is_one_hot():
 def test_fixed_two_word_span_splits_mass():
     rng = np.random.default_rng(2)
     sset = symbol_set(["a"], 5, fixed={"a": (1, 2)})
-    post = compute_posteriors(random_dist(rng, 5, TV), sset)
+    post = compute_posteriors(random_probs(rng, 5, TV), sset, TV)
     np.testing.assert_allclose(post.matrix[:, 0], [0, 0.5, 0.5, 0, 0], atol=1e-12)
 
 
 def test_no_links_returns_posterior_unchanged():
     rng = np.random.default_rng(3)
-    post = compute_posteriors(random_dist(rng, 4, TV), symbol_set(["a"], 4))
+    post = compute_posteriors(random_probs(rng, 4, TV), symbol_set(["a"], 4), TV)
     assert fix_linked_posteriors(post, symbol_set(["a"], 4)) is post
     empty = fix_linked_posteriors(post, symbol_set(["a"], 4, fixed={"a": ()}))
     np.testing.assert_array_equal(empty.matrix, post.matrix)
@@ -140,7 +143,7 @@ def test_no_links_returns_posterior_unchanged():
 
 def test_fixed_symbol_missing_from_set_errors():
     rng = np.random.default_rng(4)
-    post = compute_posteriors(random_dist(rng, 4, TV), symbol_set(["a"], 4))
+    post = compute_posteriors(random_probs(rng, 4, TV), symbol_set(["a"], 4), TV)
     with pytest.raises(EmError, match="not in symbol set"):
         fix_linked_posteriors(post, symbol_set(["a"], 4, fixed={"zzz": (0,)}))
 
@@ -194,21 +197,16 @@ def test_harden_keeps_pinned_span_below_threshold():
     np.testing.assert_array_equal(hard.matrix[:, 0], [1, 1, 1, 1, 0])
 
 
-def test_harden_random_properties():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        n = int(rng.integers(2, 8))
-        l = int(rng.integers(1, n))
-        sset = symbol_set(["a", "b", "c"][: min(l, 3)], n)
-        soft = compute_posteriors(random_dist(rng, n, TV), sset)
-        beta = float(rng.uniform(0.05, 0.95))
-        hard = harden_posteriors(soft, beta)
-        assert np.all(hard.matrix >= 0) and np.all(hard.matrix <= 1)
-        np.testing.assert_allclose(hard.matrix.sum(axis=1), 1.0, atol=1e-9)
-        thresholded = soft.matrix[:, : soft.num_symbols] > beta
-        calm = thresholded.sum(axis=1) <= 1   # rows that needed no renorm
-        np.testing.assert_array_equal(hard.matrix[calm, : soft.num_symbols],
-                                      thresholded[calm].astype(float))
+@given(posterior_inputs(min_symbols=1, nulls=1), st.floats(0.05, 0.95))
+def test_harden_random_properties(inputs, beta):
+    soft = compute_posteriors(*inputs, TV)
+    hard = harden_posteriors(soft, beta)
+    assert np.all(hard.matrix >= 0) and np.all(hard.matrix <= 1)
+    np.testing.assert_allclose(hard.matrix.sum(axis=1), 1.0, atol=1e-9)
+    thresholded = soft.matrix[:, : soft.num_symbols] > beta
+    calm = thresholded.sum(axis=1) <= 1   # rows that needed no renorm
+    np.testing.assert_array_equal(hard.matrix[calm, : soft.num_symbols],
+                                  thresholded[calm].astype(float))
 
 
 def test_harden_preconditions():
@@ -225,34 +223,34 @@ def test_harden_preconditions():
 
 def test_soft_loss_one_hot_posterior_is_cross_entropy():
     rng = np.random.default_rng(5)
-    dist = random_dist(rng, 3, TV)
+    m = random_probs(rng, 3, TV)
     post = soft_posterior([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]],
                           2, [2, 3, 0])
-    loss = em_loss(dist, [post])
-    m = dist.matrix
+    loss = em_loss(ad.tensor(m), [post])
     expected = -(np.log(m[0, 2]) + np.log(m[1, 3]) + np.log(m[2, 0]))
     np.testing.assert_allclose(float(loss.data), expected, atol=1e-12)
 
 
 def test_soft_loss_uniform_column_is_mean_nll():
     rng = np.random.default_rng(6)
-    dist = random_dist(rng, 4, TV)
+    probs = random_probs(rng, 4, TV)
     matrix = np.zeros((4, 4))
     matrix[:, 0] = 0.25
     post = soft_posterior(matrix, 1, [4, 0, 0, 0])
-    expected = np.mean(-np.log(dist.matrix[:, 4]))
-    np.testing.assert_allclose(float(em_loss(dist, [post]).data),
+    expected = np.mean(-np.log(probs[:, 4]))
+    np.testing.assert_allclose(float(em_loss(ad.tensor(probs), [post]).data),
                                expected, atol=1e-12)
 
 
 def test_loss_invariant_to_symbol_order():
     rng = np.random.default_rng(8)
-    dist = random_dist(rng, 5, TV)
-    post = compute_posteriors(dist, symbol_set(["a", "b", "c"], 5))
+    probs = random_probs(rng, 5, TV)
+    post = compute_posteriors(probs, symbol_set(["a", "b", "c"], 5), TV)
     perm = [2, 0, 1, 3, 4]
     swapped = AlignmentPosterior(matrix=post.matrix[:, perm].copy(),
                                  num_symbols=3, mode="soft",
                                  tag_ids=post.tag_ids[perm])
+    dist = ad.tensor(probs)
     np.testing.assert_allclose(float(em_loss(dist, [post]).data),
                                float(em_loss(dist, [swapped]).data),
                                rtol=1e-12)
@@ -266,7 +264,8 @@ def em_loss_setup(hard_phase):
 
     # The E-step posterior is a constant of the M-step objective, so it
     # is frozen at the initial parameters; only log p(z|x) varies.
-    post = compute_posteriors(tag_distribution(params, [words]), sset)
+    post = compute_posteriors(tag_distribution(params, [words]).data, sset,
+                              params.tag_vocab)
     if hard_phase:
         post = harden_posteriors(post, 0.26)
 
@@ -290,10 +289,9 @@ def test_one_adam_step_decreases_convex_loss():
     # in the parameters and a small Adam step cannot increase it.
     logits = ad.parameter(np.array([[0.3, -0.2, 0.9, 0.0]]), "logits")
     post = soft_posterior([[1.0, 0, 0, 0]], 1, [1, 0, 0, 0])
-    tv = TagVocabulary(["a", "b"])
 
     def loss():
-        return em_loss(TagDistribution(ad.softmax(logits), tv), [post])
+        return em_loss(ad.softmax(logits), [post])
 
     before = float(loss().data)
     opt = Adam([logits], lr=1e-3)

@@ -70,6 +70,27 @@ def test_resolve_rejects_bad_models_and_seeds():
         resolve_config({"workers": 0})
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("anonymize", "no", "boolean"), ("anonymize", "false", "boolean"),
+    ("anonymize", 0, "boolean"), ("workers", True, "integer"),
+    ("workers", 2.7, "integer"), ("workers", "2", "integer"),
+])
+def test_resolve_rejects_mistyped_scalars(key, value, kind):
+    with pytest.raises(ExperimentError, match=f"'{key}' must be a JSON {kind}"):
+        resolve_config({key: value})
+
+
+def test_resolve_takes_scalars_as_given():
+    config = resolve_config({"anonymize": False, "workers": 3})
+    assert config["anonymize"] is False and config["workers"] == 3
+
+
+def test_resolve_null_means_the_default():
+    keys = ("seeds", "data", "anonymize", "split", "em", "tagger", "parser",
+            "decode", "models", "workers")
+    assert resolve_config(dict.fromkeys(keys)) == resolve_config({})
+
+
 def test_code_version_is_nonempty():
     assert code_version().strip()
 

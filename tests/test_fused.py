@@ -11,14 +11,13 @@ from tagparse.data import SymbolSet
 from tagparse.em import compute_posteriors, em_loss, harden_posteriors
 from tagparse.nn import LstmCell, Vocab
 from tagparse.parser import (BOS, EOS, DecodeConfig, ParserConfig, _batch_loss,
-                             _decoder_step, _sequence_loss, _start, decode,
-                             init_parser)
+                             _decoder_step, _start, decode, init_parser)
 from tagparse.tagger import (NULL_TAG, UNK_TAG, TaggerConfig, TagVocabulary,
                              init_tagger, predict_tags, tag_distribution)
 
 from tests.oracles import (beam_decode, em_mean_loss, gate_run, gate_step,
                            gate_tag_distribution, mean_loss, parser_cells,
-                           per_gate_cells, row_blocks)
+                           per_gate_cells, row_blocks, tsum)
 from tests.test_parser import UTT, tiny_parser
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -40,14 +39,14 @@ def cell_and_inputs(seed, H, rows, input_size=3):
 
 
 def weighted_sum(out, weights):
-    return ad.tsum(ad.mul(out, weights))
+    return tsum(ad.mul(out, weights))
 
 
 @given(seed=seeds, H=hidden, n=st.integers(1, 7), reverse=st.booleans())
 def test_lstm_sequence_matches_per_gate_chain(seed, H, n, reverse):
     rng, cell, x = cell_and_inputs(seed, H, n)
     weights = rng.normal(size=(n, H))
-    fused = cell.run(x, reverse)
+    fused = cell.run(x, [n], reverse)
     oracle = ad.concat(gate_run(cell, x, reverse), axis=0)
     assert fused.data.shape == (n, H)
     assert np.abs(fused.data - oracle.data).max() <= 1e-12
@@ -65,7 +64,7 @@ ragged = st.lists(st.integers(1, 7), min_size=1, max_size=5)
 def test_ragged_lstm_sequence_matches_separate_runs(seed, H, lengths, reverse):
     rng, cell, x = cell_and_inputs(seed, H, sum(lengths))
     weights = rng.normal(size=(sum(lengths), H))
-    stacked = cell.run(x, reverse, lengths)
+    stacked = cell.run(x, lengths, reverse)
     separate = ad.concat([h for block in row_blocks(x, lengths)
                           for h in gate_run(cell, block, reverse)], axis=0)
     assert stacked.data.shape == (sum(lengths), H)
@@ -84,7 +83,7 @@ def test_ragged_lstm_sequence_finite_differences(seed, H, lengths, reverse):
 
     def loss():
         # the mean over rows keeps the loss O(1), within finite-difference resolution
-        return ad.mul(ad.cross_entropy(ad.softmax(cell.run(x, reverse, lengths)), target),
+        return ad.mul(ad.cross_entropy(ad.softmax(cell.run(x, lengths, reverse)), target),
                       1.0 / sum(lengths))
 
     err = ad.finite_diff_check(loss, [x, *cell.parameters()], num_coords=30,
@@ -97,11 +96,11 @@ def test_ragged_lstm_sequence_finite_differences(seed, H, lengths, reverse):
 def test_lstm_sequence_rejects_lengths_that_do_not_split_the_rows(lengths):
     xproj, wh = np.zeros((4, 8)), ad.tensor(np.zeros((8, 2)))
     with pytest.raises(ad.ShapeError, match="lengths .* do not split 4 rows"):
-        ad.lstm_sequence(xproj, wh, lengths=lengths)
+        ad.lstm_sequence(xproj, wh, lengths)
 
 
 def test_lstm_sequence_over_no_rows_is_empty():
-    assert ad.lstm_sequence(np.zeros((0, 8)), np.zeros((8, 2))).data.shape == (0, 2)
+    assert ad.lstm_sequence(np.zeros((0, 8)), np.zeros((8, 2)), []).data.shape == (0, 2)
 
 
 @given(seed=seeds, H=hidden, B=st.integers(1, 5))
@@ -127,7 +126,7 @@ def test_lstm_sequence_finite_differences(seed, H, n, reverse):
     target = rng.uniform(0.1, 1.0, size=(n, H))
 
     def loss():
-        return ad.cross_entropy(ad.softmax(cell.run(x, reverse)), target)
+        return ad.cross_entropy(ad.softmax(cell.run(x, [n], reverse)), target)
 
     err = ad.finite_diff_check(loss, [x, *cell.parameters()], num_coords=30,
                                rng=np.random.default_rng(seed))
@@ -175,14 +174,6 @@ def test_batched_loss_equals_mean_of_per_example_losses(seed, size, hidden_size,
     oracle = ad.backward(want, params.parameters())
     for p in params.parameters():
         assert rel_err(grads[p], oracle[p]) <= 1e-9, p.name
-
-
-def test_sequence_loss_is_the_one_example_batch():
-    params = tiny_parser(seed=7)
-    batch = random_batch(params, np.random.default_rng(7), 4)
-    per_example = [_sequence_loss(params, u, t, y).data for u, t, y in zip(*batch)]
-    np.testing.assert_allclose(_batch_loss(params, *batch).data,
-                               np.mean(per_example), rtol=1e-12)
 
 
 @given(seed=seeds, hidden_size=st.integers(2, 8), use_tags=st.booleans(),
@@ -299,7 +290,7 @@ def test_exact_beam_equals_exhaustive_enumeration(seed, hidden_size, use_tags, n
 def test_lstm_ops_reject_mismatched_shapes():
     wh = ad.tensor(np.zeros((8, 2)))
     with pytest.raises(ad.ShapeError, match="lstm_sequence: input projection"):
-        ad.lstm_sequence(np.zeros((3, 6)), wh)
+        ad.lstm_sequence(np.zeros((3, 6)), wh, [3])
     with pytest.raises(ad.ShapeError, match="lstm_step: state"):
         ad.lstm_step(np.zeros((2, 8)), np.zeros((3, 4)), wh)
 
@@ -334,7 +325,8 @@ def test_batched_em_loss_equals_mean_of_per_example_losses(seed, size, hard, lin
     utterances, symbol_sets = em_batch(seed, size, linked)
     posteriors = []
     for words, sset in zip(utterances, symbol_sets):
-        post = compute_posteriors(tag_distribution(params, [words]), sset)
+        post = compute_posteriors(tag_distribution(params, [words]).data, sset,
+                                  params.tag_vocab)
         posteriors.append(harden_posteriors(post, 0.26) if hard else post)
     assert all(p.fixed_columns for p in posteriors) == linked
     got = em_loss(tag_distribution(params, utterances), posteriors)
@@ -356,13 +348,13 @@ def test_batched_tagger_matches_per_utterance_oracle(seed, lengths, hidden_size,
     params.b_out.data[:] = rng.normal(size=params.b_out.data.shape)
     # an unseen word takes the unknown row
     utterances = [list(rng.choice(TAGGER_WORDS + ["unseen"], size=n)) for n in lengths]
-    dist = tag_distribution(params, utterances)
+    probs = tag_distribution(params, utterances)
     blocks = [gate_tag_distribution(params, words) for words in utterances]
-    got_blocks = np.split(dist.matrix, np.cumsum(lengths)[:-1])
+    got_blocks = np.split(probs.data, np.cumsum(lengths)[:-1])
     for got, want in zip(got_blocks, blocks):
         assert np.abs(got - want.data).max() <= 1e-12
-    weights = rng.normal(size=dist.matrix.shape)
-    grads = ad.backward(weighted_sum(dist.probs, weights), params.parameters())
+    weights = rng.normal(size=probs.data.shape)
+    grads = ad.backward(weighted_sum(probs, weights), params.parameters())
     oracle = ad.backward(weighted_sum(ad.concat(blocks, axis=0), weights),
                          params.parameters())
     for p in params.parameters():

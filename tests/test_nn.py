@@ -17,7 +17,7 @@ def test_vocab_roundtrip_and_unknown():
 def test_single_token_runs_both_directions():
     rng = np.random.default_rng(42)
     enc = BiLstmEncoder("enc", input_size=3, hidden_size=4, num_layers=1, rng=rng)
-    out = enc.encode(ad.tensor(rng.normal(size=(1, 3))))
+    out = enc.encode(ad.tensor(rng.normal(size=(1, 3))), [1])
     assert out.data.shape == (1, 8)
     assert np.isfinite(out.data).all()
 
@@ -25,7 +25,7 @@ def test_single_token_runs_both_directions():
 def test_output_shape_n_by_twice_hidden():
     rng = np.random.default_rng(0)
     enc = BiLstmEncoder("enc", input_size=5, hidden_size=150, num_layers=1, rng=rng)
-    out = enc.encode(ad.tensor(rng.normal(size=(7, 5))))
+    out = enc.encode(ad.tensor(rng.normal(size=(7, 5))), [7])
     assert out.data.shape == (7, 300)
 
 
@@ -36,8 +36,8 @@ def test_reversal_swaps_directional_states():
     rng = np.random.default_rng(1)
     cell = LstmCell("c", input_size=3, hidden_size=4, rng=rng)
     x = rng.normal(size=(5, 3))
-    fwd = cell.run(ad.tensor(x))
-    bwd = cell.run(ad.tensor(x[::-1].copy()), reverse=True)
+    fwd = cell.run(ad.tensor(x), [5])
+    bwd = cell.run(ad.tensor(x[::-1].copy()), [5], reverse=True)
     for t in range(5):
         np.testing.assert_allclose(fwd.data[t], bwd.data[4 - t], atol=1e-12)
 
@@ -46,7 +46,7 @@ def test_stacked_layers_change_input_size():
     rng = np.random.default_rng(2)
     enc = BiLstmEncoder("enc", input_size=3, hidden_size=4, num_layers=2, rng=rng)
     assert enc.layers[1][0].input_size == 8
-    out = enc.encode(ad.tensor(rng.normal(size=(4, 3))))
+    out = enc.encode(ad.tensor(rng.normal(size=(4, 3))), [4])
     assert out.data.shape == (4, 8)
 
 
@@ -57,7 +57,7 @@ def test_encoder_gradients_match_finite_differences():
     target = rng.uniform(0.1, 1.0, size=(4, 8))
 
     def loss():
-        return ad.cross_entropy(ad.softmax(enc.encode(x)), target)
+        return ad.cross_entropy(ad.softmax(enc.encode(x, [4])), target)
 
     err = ad.finite_diff_check(loss, enc.parameters(), num_coords=50,
                                rng=np.random.default_rng(4))

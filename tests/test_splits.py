@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tagparse.data import (SplitError, SplitSpec, example_from_record,
-                           gen_synthetic, make_split)
+from tagparse.data import SplitError, SplitSpec, example_from_record, make_split
+
+from tests.test_synthetic import synthetic_corpora
 
 
 def tiny_corpus(n_templates, per_template):
@@ -41,12 +44,26 @@ def test_query_split_template_sets_disjoint_over_random_corpora():
         assert not (train & test)
 
 
-def test_partitions_cover_corpus_without_overlap():
-    corpus = gen_synthetic(seed=0)[:120]
-    for mode in ("question", "query"):
-        split = make_split(corpus, mode, [0.7, 0.1, 0.2], seed=5)
-        ids = sorted(i for name in split.sections for i in split.ids(name))
-        assert ids == [ex.example_id for ex in corpus]
+@given(corpus=synthetic_corpora(max_size=40), mode=st.sampled_from(["question", "query"]),
+       weights=st.lists(st.integers(1, 10), min_size=2, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_partitions_cover_corpus_without_overlap(corpus, mode, weights, seed):
+    ratios = [w / sum(weights) for w in weights]
+    templates = {ex.template_id for ex in corpus}
+    if mode == "query" and len(templates) < len(ratios):
+        with pytest.raises(SplitError, match="templates"):
+            make_split(corpus, mode, ratios, seed)
+        return
+    split = make_split(corpus, mode, ratios, seed)
+    assert len(split.sections) == len(ratios)
+    ids = sorted(i for name in split.sections for i in split.ids(name))
+    assert ids == sorted(ex.example_id for ex in corpus)
+    if mode == "query":
+        section_of = {i: name for name in split.sections for i in split.ids(name)}
+        owners = {}
+        for ex in corpus:
+            owners.setdefault(ex.template_id, set()).add(section_of[ex.example_id])
+        assert all(len(sections) == 1 for sections in owners.values())
 
 
 def test_question_split_can_share_templates():

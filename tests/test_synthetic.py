@@ -1,6 +1,7 @@
 """Synthetic corpus generation."""
 
 import pytest
+from hypothesis import strategies as st
 
 from tagparse.data import (SyntheticConfigError, default_grammar,
                            extract_symbols, gen_synthetic)
@@ -21,6 +22,21 @@ def cartesian_grammar(n_preds=5, n_ents=10, n_templates=4):
             for t in range(n_templates)
         ],
     }
+
+
+@st.composite
+def synthetic_corpora(draw, max_size=12):
+    """Up to `max_size` examples of a default grammar, or of a small cartesian
+    grammar whose entity names run one to three words, under a drawn seed."""
+    kind = draw(st.sampled_from(["lambda", "sql", "cartesian"]))
+    if kind == "cartesian":
+        grammar = cartesian_grammar(*(draw(st.integers(1, k)) for k in (4, 4, 3)))
+        for entity in grammar["entities"]:
+            entity["word"] += " heights" * draw(st.integers(0, 2))
+    else:
+        grammar = default_grammar(kind)
+    grammar["max_examples"] = draw(st.integers(1, max_size))
+    return gen_synthetic(grammar, seed=draw(st.integers(0, 2 ** 32 - 1)))
 
 
 def test_cartesian_count():

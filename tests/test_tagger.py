@@ -21,7 +21,7 @@ def small_params(hidden=6, emb=5, seed=0, symbols=("flight", "from", "to", "morn
 def encode(params, words):
     """Contextual states h_i = [h_forward; h_backward] of one utterance, (n, 2H)."""
     x = ad.embedding(params.embedding, params.word_vocab.encode(words))
-    return params.encoder.encode(x)
+    return params.encoder.encode(x, [len(words)])
 
 
 def np_softmax(x):
@@ -65,7 +65,7 @@ def test_distribution_rows_stochastic():
     for _ in range(20):
         n = int(rng.integers(1, 9))
         utt = [WORDS[i] for i in rng.integers(0, len(WORDS), size=n)]
-        m = tag_distribution(params, [utt]).matrix
+        m = tag_distribution(params, [utt]).data
         assert m.shape == (n, 6)
         assert np.all(m >= 0) and np.all(m <= 1)
         np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-9)
@@ -75,7 +75,7 @@ def test_zero_output_weights_give_uniform_rows():
     params = small_params()
     for p in (params.w_out, params.u_out, params.b_out):
         p.data[:] = 0.0
-    m = tag_distribution(params, [WORDS]).matrix
+    m = tag_distribution(params, [WORDS]).data
     np.testing.assert_allclose(m, 1.0 / 6.0, atol=1e-12)
     assert predict_tags(params, [WORDS])[0].tolist() == [0] * len(WORDS)  # tie-break
 
@@ -86,7 +86,7 @@ def test_logits_match_dense_oracle():
     x = params.embedding.data[ids]
     h = encode(params, WORDS).data
     logits = h @ params.w_out.data.T + x @ params.u_out.data.T + params.b_out.data
-    np.testing.assert_allclose(tag_distribution(params, [WORDS]).matrix,
+    np.testing.assert_allclose(tag_distribution(params, [WORDS]).data,
                                np_softmax(logits), atol=1e-12)
     # shifting every logit in a row leaves the argmax unchanged
     shifted = logits + np.arange(1, len(WORDS) + 1)[:, None] * 3.7
@@ -101,8 +101,8 @@ def test_permuting_tag_ids_permutes_columns():
     permuted.w_out.data = params.w_out.data[old_of].copy()
     permuted.u_out.data = params.u_out.data[old_of].copy()
     permuted.b_out.data = params.b_out.data[old_of].copy()
-    np.testing.assert_allclose(tag_distribution(permuted, [WORDS]).matrix,
-                               tag_distribution(params, [WORDS]).matrix[:, old_of],
+    np.testing.assert_allclose(tag_distribution(permuted, [WORDS]).data,
+                               tag_distribution(params, [WORDS]).data[:, old_of],
                                atol=1e-12)
 
 
@@ -110,11 +110,11 @@ def test_word_loss_gradient_touches_only_that_row():
     # Conditional independence: a loss on word i's distribution row has
     # exactly zero gradient on every other row of the probability matrix.
     params = small_params()
-    dist = tag_distribution(params, [WORDS[:5]])
-    weights = np.zeros_like(dist.matrix)
+    probs = tag_distribution(params, [WORDS[:5]])
+    weights = np.zeros_like(probs.data)
     weights[2, 3] = 1.0
-    loss = ad.cross_entropy(dist.probs, weights)
-    g = ad.backward(loss, [dist.probs])[dist.probs]
+    loss = ad.cross_entropy(probs, weights)
+    g = ad.backward(loss, [probs])[probs]
     assert np.any(g[2] != 0)
     mask = np.ones(5, dtype=bool)
     mask[2] = False
@@ -149,8 +149,8 @@ def test_checkpoint_round_trip(tmp_path):
     loaded = load_tagger(path)
     assert loaded.word_vocab.id2tok == params.word_vocab.id2tok
     assert loaded.tag_vocab.id2sym == params.tag_vocab.id2sym
-    np.testing.assert_array_equal(tag_distribution(loaded, [WORDS]).matrix,
-                                  tag_distribution(params, [WORDS]).matrix)
+    np.testing.assert_array_equal(tag_distribution(loaded, [WORDS]).data,
+                                  tag_distribution(params, [WORDS]).data)
     again = tmp_path / "again.json"
     save_tagger(again, loaded)
     assert path.read_bytes() == again.read_bytes()
