@@ -27,9 +27,8 @@ __all__ = [
     "parameter",
     "no_grad",
     "add",
-    "mul",
     "matmul",
-    "transpose",
+    "linear",
     "concat",
     "cols",
     "tanh",
@@ -139,30 +138,6 @@ def add(a, b) -> Tensor:
     return _node(out, (a, b), bwd)
 
 
-def mul(a, b) -> Tensor:
-    """Elementwise product; either side may be a python scalar."""
-    if isinstance(b, (int, float)) and isinstance(a, Tensor):
-        k = float(b)
-
-        def bwd_scalar(g):
-            return (g * k,)
-
-        return _node(a.data * k, (a,), bwd_scalar)
-    if isinstance(a, (int, float)) and isinstance(b, Tensor):
-        return mul(b, a)
-    a, b = _coerce(a), _coerce(b)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: cannot broadcast {a.data.shape} with {b.data.shape}")
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
-
-    return _node(out, (a, b), bwd)
-
-
 def matmul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
@@ -175,15 +150,18 @@ def matmul(a, b) -> Tensor:
     return _node(ad @ bd, (a, b), bwd)
 
 
-def transpose(a) -> Tensor:
-    a = _coerce(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-d, got {a.data.shape}")
-
-    def bwd(g):
-        return (g.T,)
-
-    return _node(a.data.T, (a,), bwd)
+def linear(x, w, b=None) -> Tensor:
+    """The affine map x @ w.T (+ b) of (B, I) rows by (O, I) weights and an (O,) bias."""
+    x, w = _coerce(x), _coerce(w)
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1]:
+        raise ShapeError(f"linear: input {xd.shape} does not fit weights {wd.shape}")
+    if b is None:
+        return _node(xd @ wd.T, (x, w), lambda g: (g @ wd, g.T @ xd))
+    b = _coerce(b)
+    if b.data.shape != (wd.shape[0],):
+        raise ShapeError(f"linear: bias {b.data.shape} for weights {wd.shape}")
+    return _node(xd @ wd.T + b.data, (x, w, b), lambda g: (g @ wd, g.T @ xd, g.sum(axis=0)))
 
 
 def concat(parts: Sequence, axis: int = 1) -> Tensor:

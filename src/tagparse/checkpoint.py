@@ -98,14 +98,25 @@ def load_checkpoint(path, expect_kind: str | None = None,
     return params, meta
 
 
+# each annotation's JSON values as exact Python types (true is a bool, not an int)
+_JSON_KINDS = {"int": ((int,), "integer"), "float": ((int, float), "number"),
+               "bool": ((bool,), "boolean"), "str": ((str,), "string"),
+               "list": ((list, tuple), "list"), "dict": ((dict,), "object")}
+
+
 def config_from_fields(cls, fields, source: str, error=ValueError):
-    """The config dataclass `cls` from a decoded JSON object; a non-object, an unknown
-    key or a value `cls` rejects raises `error`, its message starting with `source`."""
+    """The dataclass `cls` from a decoded JSON object; a non-object, an unknown key, a
+    value whose JSON type does not fit its field's annotation (see `_JSON_KINDS`) or
+    a value `cls` rejects raises `error`, its message starting with `source`."""
     if not isinstance(fields, dict):
         raise error(f"{source} is a JSON {type(fields).__name__}, not an object")
-    for key in fields:
+    for key, value in fields.items():
         if key not in cls.__dataclass_fields__:
             raise error(f"{source} has unknown field '{key}'")
+        kinds, name = _JSON_KINDS.get(cls.__dataclass_fields__[key].type, ((), None))
+        if name and type(value) not in kinds:
+            raise error(f"{source} field '{key}' must be a JSON {name}, "
+                        f"not {type(value).__name__}")
     try:
         return cls(**fields)
     except (TypeError, ValueError) as e:

@@ -9,14 +9,17 @@ requires generalizing to unseen meaning shapes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
 
+from ..checkpoint import config_from_fields
+
 __all__ = ["SplitError", "SplitSpec", "make_split", "SECTION_NAMES"]
 
 SECTION_NAMES = ("train", "dev", "test")
+_MODES = ("question", "query")
 
 
 class SplitError(ValueError):
@@ -27,7 +30,14 @@ class SplitError(ValueError):
 class SplitSpec:
     mode: str                       # "question" | "query"
     seed: int
-    sections: Dict[str, List[int]]  # section name -> example ids
+    sections: dict                  # section name -> list of example ids
+
+    def __post_init__(self):
+        if self.mode not in _MODES:
+            raise SplitError(f"unknown split mode {self.mode!r}")
+        for name, ids in self.sections.items():
+            if not isinstance(ids, list) or any(type(i) is not int for i in ids):
+                raise SplitError(f"section {name!r} is not a list of integer ids")
 
     def ids(self, section: str) -> List[int]:
         if section not in self.sections:
@@ -37,27 +47,22 @@ class SplitSpec:
 
     def select(self, corpus, section: str):
         by_id = {ex.example_id: ex for ex in corpus}
+        missing = [i for i in self.ids(section) if i not in by_id]
+        if missing:
+            raise SplitError(f"split section {section!r} names example id {missing[0]}, "
+                             f"which the corpus lacks")
         return [by_id[i] for i in self.ids(section)]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"mode": self.mode, "seed": self.seed, "sections": self.sections},
-            sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "SplitSpec":
-        doc = json.loads(text)
-        return SplitSpec(doc["mode"], doc["seed"],
-                         {k: list(v) for k, v in doc["sections"].items()})
 
     def save(self, path) -> None:
         with open(path, "w") as f:
-            f.write(self.to_json() + "\n")
+            json.dump(asdict(self), f, sort_keys=True)
+            f.write("\n")
 
     @staticmethod
     def load(path) -> "SplitSpec":
+        """Read a split file; a missing field, or one of the wrong type, raises SplitError."""
         with open(path) as f:
-            return SplitSpec.from_json(f.read())
+            return config_from_fields(SplitSpec, json.load(f), f"split {path}", SplitError)
 
 
 def _boundaries(total: int, ratios: Sequence[float]) -> List[int]:
@@ -72,7 +77,7 @@ def _boundaries(total: int, ratios: Sequence[float]) -> List[int]:
 
 def make_split(corpus, mode: str, ratios: Sequence[float], seed: int) -> SplitSpec:
     """Partition a corpus; ratios cover train[, dev], test and sum to 1."""
-    if mode not in ("question", "query"):
+    if mode not in _MODES:
         raise SplitError(f"unknown split mode {mode!r}")
     if not 2 <= len(ratios) <= 3:
         raise SplitError(f"need 2 or 3 ratios, got {len(ratios)}")

@@ -27,9 +27,11 @@ from __future__ import annotations
 import json
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
+from .checkpoint import config_from_fields
 from .data import anonymize_entities, gen_synthetic, load_corpus
 from .data.splits import make_split
 from .em import EmConfig, train_tagger
@@ -45,79 +47,87 @@ __all__ = ["ExperimentError", "DEFAULT_SEEDS", "MODELS", "resolve_config",
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 MODELS = ("tagged", "baseline")
 
-_TOP_KEYS = {"seeds", "data", "anonymize", "split", "em", "tagger", "parser",
-             "decode", "models", "workers"}
-# the JSON type of each key that is not a free value, and its name; null stands
-# for the default
-_KEY_TYPES = {**dict.fromkeys(("data", "split", "em", "tagger", "parser", "decode"),
-                              (dict, "object")),
-              "seeds": ((list, tuple), "list"), "models": ((list, tuple), "list"),
-              "anonymize": (bool, "boolean"), "workers": (int, "integer")}
-
 
 class ExperimentError(RuntimeError):
     pass
+
+
+@dataclass(frozen=True)
+class _Config:
+    """The keys of an experiment config and their JSON types."""
+    seeds: list = DEFAULT_SEEDS
+    data: dict = None
+    anonymize: bool = True
+    split: dict = None
+    em: dict = None
+    tagger: dict = None
+    parser: dict = None
+    decode: dict = None
+    models: list = MODELS
+    workers: int = 1
+
+
+@dataclass(frozen=True)
+class _Data:
+    """A corpus file `path`, or a synthetic `grammar` (null: built-in) and `seed`."""
+    path: str = ""
+    grammar: object = None
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class _Split:
+    mode: str = "query"
+    ratios: list = (0.7, 0.3)
+
+
+def _section(fields, name: str, cls, **fixed) -> dict:
+    """A copy of section `name`, checked against `cls` with the experiment's own `fixed`."""
+    fields = fields or {}
+    clash = sorted(fixed.keys() & fields.keys())
+    if clash:
+        raise ExperimentError(f"config section '{name}' sets '{clash[0]}', which the "
+                              f"experiment sets for each seed and model")
+    config_from_fields(cls, {**fields, **fixed}, f"invalid config section '{name}'",
+                       ExperimentError)
+    return dict(fields)
 
 
 def resolve_config(raw: dict) -> dict:
     """Fill defaults and validate every sub-config; returns a plain dict."""
     if not isinstance(raw, dict):
         raise ExperimentError("config must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ExperimentError(f"unknown config keys {sorted(unknown)}")
-    raw = {key: value for key, value in raw.items() if value is not None}
-    for key, (kind, name) in _KEY_TYPES.items():
-        value = raw.get(key)
-        # a JSON true or false is a Python bool, which is also an int
-        if value is not None and (not isinstance(value, kind)
-                                  or isinstance(value, bool) and kind is not bool):
-            raise ExperimentError(f"config key '{key}' must be a JSON {name}, "
-                                  f"not {type(value).__name__}")
+    # null stands for the default of a known key
+    given = {k: v for k, v in raw.items()
+             if v is not None or k not in _Config.__dataclass_fields__}
+    top = config_from_fields(_Config, given, "config", ExperimentError)
 
-    data = raw.get("data", {})
-    if "path" in data:
-        if "grammar" in data:
-            raise ExperimentError("data takes either 'path' or 'grammar'")
-        data = {"path": str(data["path"])}
-    else:
-        data = {"grammar": data.get("grammar"),
-                "seed": int(data.get("seed", 0))}
-
-    split = dict(raw.get("split", {}))
-    split.setdefault("mode", "query")
-    split.setdefault("ratios", [0.7, 0.3])
-
-    seeds = list(raw.get("seeds", DEFAULT_SEEDS))
-    if not seeds:
-        raise ExperimentError("seed list is empty")
-    models = list(raw.get("models", MODELS))
-    bad = [m for m in models if m not in MODELS]
-    if bad or not models:
+    data = _section(top.data, "data", _Data)
+    if "path" in data and len(data) > 1:
+        raise ExperimentError("data takes either 'path' or 'grammar' and 'seed'")
+    if "path" not in data:
+        data = {"grammar": data.get("grammar"), "seed": data.get("seed", 0)}
+    seeds, models = list(top.seeds), list(top.models)
+    if not seeds or any(type(s) is not int for s in seeds):
+        raise ExperimentError(f"config key 'seeds' must be a nonempty list of "
+                              f"integers, got {seeds}")
+    if not models or any(m not in MODELS for m in models):
         raise ExperimentError(f"models must be drawn from {MODELS}, got {models}")
-
-    config = {
+    if top.workers < 1:
+        raise ExperimentError("workers must be >= 1")
+    return {
         "seeds": seeds,
         "data": data,
-        "anonymize": raw.get("anonymize", True),
-        "split": split,
-        "em": dict(raw.get("em", {})),
-        "tagger": dict(raw.get("tagger", {})),
-        "parser": dict(raw.get("parser", {})),
-        "decode": dict(raw.get("decode", {})),
+        "anonymize": top.anonymize,
+        "split": {"mode": "query", "ratios": [0.7, 0.3],
+                  **_section(top.split, "split", _Split)},
+        "em": _section(top.em, "em", EmConfig, seed=0),
+        "tagger": _section(top.tagger, "tagger", TaggerConfig),
+        "parser": _section(top.parser, "parser", ParserConfig, seed=0, use_tags=True),
+        "decode": _section(top.decode, "decode", DecodeConfig),
         "models": models,
-        "workers": raw.get("workers", 1),
+        "workers": top.workers,
     }
-    if config["workers"] < 1:
-        raise ExperimentError("workers must be >= 1")
-    try:
-        EmConfig(seed=0, **config["em"])
-        TaggerConfig(**config["tagger"])
-        ParserConfig(seed=0, use_tags=True, **config["parser"])
-        DecodeConfig(**config["decode"])
-    except (TypeError, ValueError) as e:
-        raise ExperimentError(f"invalid config: {e}") from e
-    return config
 
 
 def code_version() -> str:

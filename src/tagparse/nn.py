@@ -59,7 +59,7 @@ class LstmCell:
 
     def project_inputs(self, xs: Tensor) -> Tensor:
         """Precompute xs @ Wx.T + b for a whole (n, I) sequence at once."""
-        return ad.add(ad.matmul(xs, ad.transpose(self.wx)), self.b)
+        return ad.linear(xs, self.wx, self.b)
 
     def step(self, xproj: Tensor, state: Tensor) -> Tensor:
         """Advance (B, 2H) [h | c] states from a precomputed (B, 4H) input projection."""

@@ -154,9 +154,9 @@ def _start(params: ParserParams, utterances, tag_lists):
     """Encode a batch of B utterances and build the decoder's first inputs.
 
     Returns the encoder states of every utterance stacked row-wise (N, 2H),
-    the (B, N) additive attention mask (0 on a row's own utterance, -inf
-    elsewhere; None when B is 1), the (B, 2H) [h | c] decoder state and
-    the (B, H) input feed.
+    their attention keys (N, H), the (B, N) additive attention mask (0 on a
+    row's own utterance, -inf elsewhere; None when B is 1), the (B, 2H)
+    [h | c] decoder state and the (B, H) input feed.
     """
     inputs = [embed_inputs(params, u, t) for u, t in zip(utterances, tag_lists)]
     lengths = np.array([x.data.shape[0] for x in inputs])
@@ -166,35 +166,32 @@ def _start(params: ParserParams, utterances, tag_lists):
     # h0 reads the forward state of the last word and the backward state of the first
     summary = ad.concat([ad.cols(ad.embedding(enc, ends - 1), 0, h),
                          ad.cols(ad.embedding(enc, ends - lengths), h, 2 * h)], axis=1)
-    h0 = ad.tanh(ad.add(ad.matmul(summary, ad.transpose(params.w_bridge)),
-                        params.b_bridge))
+    h0 = ad.tanh(ad.linear(summary, params.w_bridge, params.b_bridge))
     mask = None
     if len(inputs) > 1:
         owner = np.repeat(np.arange(len(inputs)), lengths)
         mask = np.where(owner[None, :] == np.arange(len(inputs))[:, None], 0.0, -np.inf)
     zeros = np.zeros((len(inputs), h))
-    return enc, mask, ad.concat([h0, zeros], axis=1), ad.tensor(zeros)
+    keys = ad.linear(enc, params.w_att)  # h @ keys.T is the bilinear h @ w_att @ enc.T
+    return enc, keys, mask, ad.concat([h0, zeros], axis=1), ad.tensor(zeros)
 
 
-def _decoder_step(params: ParserParams, prev_ids, state, feed, enc, mask=None):
+def _decoder_step(params: ParserParams, prev_ids, state, feed, enc, keys, mask=None):
     """One decoder step for B rows: previous token ids, [h | c] state and feed.
 
-    Each row attends over the stacked encoder states `enc`; the additive
-    `mask` limits it to its own utterance's rows.
+    Each row attends over the stacked encoder states `enc` through their
+    `keys`; the additive `mask` limits it to its own utterance's rows.
     """
     y = ad.embedding(params.sym_emb, np.asarray(prev_ids, dtype=np.intp))
     state = params.decoder.step(
         params.decoder.project_inputs(ad.concat([y, feed], axis=1)), state)
     h = ad.cols(state, 0, params.config.hidden_size)
-    scores = ad.matmul(ad.matmul(h, params.w_att), ad.transpose(enc))
+    scores = ad.linear(h, keys)
     if mask is not None:
         scores = ad.add(scores, mask)
     context = ad.matmul(ad.softmax(scores), enc)
-    feed = ad.tanh(ad.add(ad.matmul(ad.concat([h, context], axis=1),
-                                    ad.transpose(params.w_comb)),
-                          params.b_comb))
-    logits = ad.add(ad.matmul(feed, ad.transpose(params.w_out)), params.b_out)
-    return state, feed, logits
+    feed = ad.tanh(ad.linear(ad.concat([h, context], axis=1), params.w_comb, params.b_comb))
+    return state, feed
 
 
 def _batch_loss(params: ParserParams, utterances, tag_lists, targets) -> Tensor:
@@ -209,17 +206,16 @@ def _batch_loss(params: ParserParams, utterances, tag_lists, targets) -> Tensor:
     weights = np.zeros((steps, batch, len(params.out_vocab)))
     for b, target in enumerate(targets):
         padded[b, :len(target)] = target
-        weights[np.arange(len(target)), b, target] = 1.0
-    enc, mask, state, feed = _start(params, utterances, tag_lists)
-    logits = []
+        weights[np.arange(len(target)), b, target] = 1.0 / batch
+    enc, keys, mask, state, feed = _start(params, utterances, tag_lists)
+    feeds = []
     for t in range(steps):
         prev = padded[:, t - 1] if t else np.full(batch, bos)
-        state, feed, step_logits = _decoder_step(params, prev, state, feed, enc, mask)
-        logits.append(step_logits)
+        state, feed = _decoder_step(params, prev, state, feed, enc, keys, mask)
+        feeds.append(feed)
     # rows are step-major: row t * B + b holds example b at step t
-    probs = ad.softmax(ad.concat(logits, axis=0))
-    return ad.mul(ad.cross_entropy(probs, weights.reshape(steps * batch, -1)),
-                  1.0 / batch)
+    logits = ad.linear(ad.concat(feeds, axis=0), params.w_out, params.b_out)
+    return ad.cross_entropy(ad.softmax(logits), weights.reshape(steps * batch, -1))
 
 
 def _prepared(corpus, tagger_params, config) -> Tuple[list, str]:
@@ -321,11 +317,12 @@ def decode(params: ParserParams, utterance, tags=None,
     """
     eos = params.out_vocab.tok2id[EOS]
     with ad.no_grad():
-        enc, _, state, feed = _start(params, [utterance], [tags])
+        enc, keys, _, state, feed = _start(params, [utterance], [tags])
         prev, seqs, scores = [params.out_vocab.tok2id[BOS]], [()], np.zeros(1)
         completed = []                   # (score, token ids without the end marker)
         for _ in range(config.max_length):
-            state, feed, logits = _decoder_step(params, prev, state, feed, enc)
+            state, feed = _decoder_step(params, prev, state, feed, enc, keys)
+            logits = ad.linear(feed, params.w_out, params.b_out)
             logp = np.log(np.maximum(ad.softmax(logits).data, 1e-300))
             totals = (scores[:, None] + logp).ravel()
             best = np.argsort(-totals, kind="stable")[:config.beam_size]

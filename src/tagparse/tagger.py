@@ -123,10 +123,8 @@ def tag_distribution(params: TaggerParams, utterances) -> Tensor:
     ids = [params.word_vocab.encode(_tokens(u)) for u in utterances]
     x = ad.embedding(params.embedding, np.concatenate(ids))
     h = params.encoder.encode(x, [len(i) for i in ids])
-    logits = ad.add(ad.add(ad.matmul(h, ad.transpose(params.w_out)),
-                           ad.matmul(x, ad.transpose(params.u_out))),
-                    params.b_out)
-    return ad.softmax(logits)
+    return ad.softmax(ad.add(ad.linear(h, params.w_out, params.b_out),
+                             ad.linear(x, params.u_out)))
 
 
 def predict_tags(params: TaggerParams, utterances) -> List[np.ndarray]:

@@ -6,8 +6,8 @@ one (1, 4H) row at a time, one sequence at a time, the encoder with one
 concat per word, the tagger one utterance at a time, the parser and EM
 losses as the mean of per-example losses, and beam search with one
 decoder step per hypothesis.  Tests compare the library against them;
-the package never uses them.  The two autodiff ops that only tests need,
-`sigmoid` and `tsum`, live here too.
+the package never uses them.  The autodiff ops that only tests need,
+`sigmoid`, `tsum`, `transpose` and `mul`, live here too.
 """
 
 import contextlib
@@ -42,23 +42,55 @@ def tsum(a):
     return ad._node(np.asarray(a.data.sum()), (a,), bwd)
 
 
+def transpose(a):
+    """Matrix transpose as an autodiff op."""
+    if a.data.ndim != 2:
+        raise ad.ShapeError(f"transpose: expected 2-d, got {a.data.shape}")
+
+    def bwd(g):
+        return (g.T,)
+
+    return ad._node(a.data.T, (a,), bwd)
+
+
+def mul(a, b):
+    """Elementwise product; either side may be an array or a python scalar."""
+    a, b = ad._coerce(a), ad._coerce(b)
+    try:
+        out = a.data * b.data
+    except ValueError:
+        raise ad.ShapeError(f"mul: cannot broadcast {a.data.shape} with {b.data.shape}")
+    x, y = a.data, b.data
+
+    def bwd(g):
+        return ad._unbroadcast(g * y, x.shape), ad._unbroadcast(g * x, y.shape)
+
+    return ad._node(out, (a, b), bwd)
+
+
+def affine(x, w, b=None):
+    """x @ w.T (+ b) as the three-op chain that `ad.linear` replaced."""
+    out = ad.matmul(x, transpose(w))
+    return out if b is None else ad.add(out, b)
+
+
 def gate_step(cell, xproj_t, h, c):
     """One LSTM step as a per-gate chain; h and c are separate (B, H) tensors."""
     H = cell.hidden_size
-    gates = ad.add(xproj_t, ad.matmul(h, ad.transpose(cell.wh)))
+    gates = ad.add(xproj_t, affine(h, cell.wh))
     i = sigmoid(ad.cols(gates, 0, H))
     f = sigmoid(ad.cols(gates, H, 2 * H))
     o = sigmoid(ad.cols(gates, 2 * H, 3 * H))
     g = ad.tanh(ad.cols(gates, 3 * H, 4 * H))
-    c_next = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_next = ad.mul(o, ad.tanh(c_next))
+    c_next = ad.add(mul(f, c), mul(i, g))
+    h_next = mul(o, ad.tanh(c_next))
     return h_next, c_next
 
 
 def gate_run(cell, xs, reverse=False):
     """Per-step (1, H) states over an (n, I) sequence, in input order."""
     n = xs.data.shape[0]
-    xproj = cell.project_inputs(xs)
+    xproj = affine(xs, cell.wx, cell.b)
     h = ad.tensor(np.zeros((1, cell.hidden_size)))
     c = ad.tensor(np.zeros((1, cell.hidden_size)))
     states = []
@@ -90,9 +122,8 @@ def gate_encode(encoder, xs):
 def gate_tag_distribution(params, words):
     """(n, |tags|) tag probabilities of one utterance through the per-word encoder."""
     x = ad.embedding(params.embedding, params.word_vocab.encode(words))
-    logits = ad.add(ad.add(ad.matmul(gate_encode(params.encoder, x),
-                                     ad.transpose(params.w_out)),
-                           ad.matmul(x, ad.transpose(params.u_out))),
+    logits = ad.add(ad.add(affine(gate_encode(params.encoder, x), params.w_out),
+                           affine(x, params.u_out)),
                     params.b_out)
     return ad.softmax(logits)
 
@@ -135,8 +166,7 @@ def sequence_loss(params, utterance, tags, target_ids):
     n, H = enc.data.shape[0], params.config.hidden_size
     summary = ad.concat([ad.cols(ad.embedding(enc, [n - 1]), 0, H),
                          ad.cols(ad.embedding(enc, [0]), H, 2 * H)], axis=1)
-    h = ad.tanh(ad.add(ad.matmul(summary, ad.transpose(params.w_bridge)),
-                       params.b_bridge))
+    h = ad.tanh(affine(summary, params.w_bridge, params.b_bridge))
     c = ad.tensor(np.zeros((1, H)))
     feed = ad.tensor(np.zeros((1, H)))
     bos = params.out_vocab.tok2id[BOS]
@@ -145,14 +175,14 @@ def sequence_loss(params, utterance, tags, target_ids):
         prev = bos if t == 0 else int(target_ids[t - 1])
         y = ad.embedding(params.sym_emb, np.array([prev], dtype=np.intp))
         h, c = gate_step(params.decoder,
-                         params.decoder.project_inputs(ad.concat([y, feed], axis=1)),
+                         affine(ad.concat([y, feed], axis=1), params.decoder.wx,
+                                params.decoder.b),
                          h, c)
-        scores = ad.matmul(ad.matmul(h, params.w_att), ad.transpose(enc))
+        scores = ad.matmul(ad.matmul(h, params.w_att), transpose(enc))
         context = ad.matmul(ad.softmax(scores), enc)
-        feed = ad.tanh(ad.add(ad.matmul(ad.concat([h, context], axis=1),
-                                        ad.transpose(params.w_comb)),
+        feed = ad.tanh(affine(ad.concat([h, context], axis=1), params.w_comb,
                               params.b_comb))
-        rows.append(ad.add(ad.matmul(feed, ad.transpose(params.w_out)), params.b_out))
+        rows.append(affine(feed, params.w_out, params.b_out))
     probs = ad.softmax(ad.concat(rows, axis=0))
     onehot = np.zeros((len(target_ids), len(params.out_vocab)))
     onehot[np.arange(len(target_ids)), target_ids] = 1.0
@@ -161,7 +191,7 @@ def sequence_loss(params, utterance, tags, target_ids):
 
 def mean_of(losses):
     """The mean of scalar loss tensors, as a chain of adds."""
-    return ad.mul(functools.reduce(ad.add, losses), 1.0 / len(losses))
+    return mul(functools.reduce(ad.add, losses), 1.0 / len(losses))
 
 
 def mean_loss(params, utterances, tag_lists, targets):
@@ -185,6 +215,11 @@ def em_mean_loss(params, utterances, posteriors):
                     for u, post in zip(utterances, posteriors)])
 
 
+def output_probs(params, feed):
+    """The decoder's output-token distributions of (B, H) attentional states."""
+    return ad.softmax(affine(feed, params.w_out, params.b_out)).data
+
+
 @dataclass
 class Hyp:
     token_ids: tuple
@@ -200,7 +235,7 @@ def beam_decode(params, utterance, tags, config):
     lowest id); a stable sort by score then keeps hypothesis order.
     """
     with ad.no_grad():
-        enc, _, state, feed = _start(params, [utterance], [tags])
+        enc, keys, _, state, feed = _start(params, [utterance], [tags])
         eos = params.out_vocab.tok2id[EOS]
         bos = params.out_vocab.tok2id[BOS]
         alive = [Hyp((), 0.0, state, feed)]
@@ -209,9 +244,9 @@ def beam_decode(params, utterance, tags, config):
             candidates = []
             for hyp in alive:
                 prev = hyp.token_ids[-1] if hyp.token_ids else bos
-                state, feed, logits = _decoder_step(params, [prev], hyp.state,
-                                                    hyp.feed, enc)
-                logp = np.log(np.maximum(ad.softmax(logits).data[0], 1e-300))
+                state, feed = _decoder_step(params, [prev], hyp.state, hyp.feed,
+                                            enc, keys)
+                logp = np.log(np.maximum(output_probs(params, feed)[0], 1e-300))
                 for tok in np.argsort(-logp, kind="stable")[:config.beam_size]:
                     candidates.append(Hyp(hyp.token_ids + (int(tok),),
                                           hyp.score + float(logp[tok]),

@@ -7,10 +7,12 @@ for the textbook cases.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tagparse import autodiff as ad
 
-from tests.oracles import sigmoid, tsum
+from tests.oracles import affine, mul, sigmoid, transpose, tsum
 
 
 def test_softmax_symmetry():
@@ -62,7 +64,7 @@ def test_cross_entropy_softmax_gradient_closed_form():
 
 def test_backward_square():
     x = ad.parameter(np.array(3.0), "x")
-    y = ad.mul(x, x)
+    y = mul(x, x)
     g = ad.backward(y, [x])[x]
     np.testing.assert_allclose(g, 6.0)
 
@@ -83,9 +85,9 @@ def test_random_three_layer_composition_matches_finite_differences():
     target = np.array([[0.0, 1.0]])
 
     def loss():
-        h1 = ad.tanh(ad.matmul(x, ad.transpose(w1)))
-        h2 = sigmoid(ad.add(ad.matmul(h1, ad.transpose(w2)), b))
-        return ad.cross_entropy(ad.softmax(ad.matmul(h2, ad.transpose(w3))), target)
+        h1 = ad.tanh(ad.matmul(x, transpose(w1)))
+        h2 = sigmoid(ad.add(ad.matmul(h1, transpose(w2)), b))
+        return ad.cross_entropy(ad.softmax(ad.matmul(h2, transpose(w3))), target)
 
     err = ad.finite_diff_check(loss, [w1, w2, w3, b], num_coords=40,
                                rng=np.random.default_rng(3))
@@ -97,25 +99,58 @@ def test_every_op_gradient_against_finite_differences():
     rng = np.random.default_rng(11)
     table = ad.parameter(rng.normal(size=(6, 3)), "table")
     w = ad.parameter(rng.normal(size=(4, 3)), "w")
+    b = ad.parameter(rng.normal(size=4), "b")
+    u = ad.parameter(rng.normal(size=(4, 4)), "u")
+    v = ad.parameter(rng.normal(size=(3, 4)), "v")
     ids = np.array([0, 2, 2, 5])
-    weights = rng.uniform(0.1, 1.0, size=(4, 4))
+    weights = rng.uniform(0.1, 1.0, size=(4, 3))
 
     def loss():
         e = ad.embedding(table, ids)                      # (4, 3)
-        h = ad.tanh(ad.matmul(e, ad.transpose(w)))        # (4, 4)
-        s = sigmoid(ad.add(h, ad.mul(h, -0.5)))
+        h = ad.tanh(ad.linear(e, w, b))                   # (4, 4)
+        s = sigmoid(ad.add(h, mul(ad.matmul(h, transpose(u)), -0.5)))
         top = ad.embedding(s, [0, 1])
         bottom = ad.embedding(s, [2, 3])
         merged = ad.concat([top, bottom], axis=0)
-        wide = ad.concat([merged, ad.mul(merged, merged)], axis=1)  # (4, 8)
+        wide = ad.concat([merged, mul(merged, merged)], axis=1)  # (4, 8)
         trimmed = ad.cols(wide, 1, 5)
-        p = ad.softmax(trimmed)
+        p = ad.softmax(ad.linear(trimmed, v))             # (4, 3)
         ce = ad.cross_entropy(p, weights)
-        return ad.add(ce, ad.mul(tsum(wide), 0.01))
+        return ad.add(ce, mul(tsum(wide), 0.01))
 
-    err = ad.finite_diff_check(loss, [table, w], num_coords=50,
+    err = ad.finite_diff_check(loss, [table, w, b, u, v], num_coords=50,
                                rng=np.random.default_rng(5))
     assert err <= 1e-5
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 5), ins=st.integers(1, 6),
+       outs=st.integers(1, 6), bias=st.booleans())
+def test_linear_matches_transpose_matmul_add_chain(seed, rows, ins, outs, bias):
+    rng = np.random.default_rng(seed)
+    x = ad.parameter(rng.normal(size=(rows, ins)), "x")
+    w = ad.parameter(rng.normal(size=(outs, ins)), "w")
+    b = ad.parameter(rng.normal(size=outs), "b") if bias else None
+    weights = rng.normal(size=(rows, outs))
+    got, want = ad.linear(x, w, b), affine(x, w, b)
+    np.testing.assert_array_equal(got.data, want.data)
+    params = [x, w] + ([b] if bias else [])
+    grads = ad.backward(tsum(mul(got, weights)), params)
+    oracle = ad.backward(tsum(mul(want, weights)), params)
+    for p in params:
+        scale = np.abs(oracle[p]).max()
+        assert np.abs(grads[p] - oracle[p]).max() <= 1e-12 * scale, p.name
+
+
+@pytest.mark.parametrize("x, w, b", [
+    (np.ones(3), np.ones((2, 3)), None),            # 1-d input
+    (np.ones((4, 3)), np.ones(3), None),            # 1-d weights
+    (np.ones((4, 3)), np.ones((2, 4)), None),       # inner sizes differ
+    (np.ones((4, 3)), np.ones((2, 3)), np.ones(3)),  # bias of the wrong length
+    (np.ones((4, 3)), np.ones((2, 3)), np.ones((1, 2))),  # 2-d bias
+])
+def test_linear_rejects_mismatched_shapes(x, w, b):
+    with pytest.raises(ad.ShapeError, match="linear: "):
+        ad.linear(x, w, b)
 
 
 def test_sum_of_two_graph_copies_doubles_gradient():
@@ -143,7 +178,7 @@ def test_unreachable_parameter_gets_zero_gradient():
 def test_non_scalar_root_rejected():
     w = ad.parameter(np.ones((2, 2)), "w")
     with pytest.raises(ad.ShapeError, match="scalar"):
-        ad.backward(ad.mul(w, 2.0), [w])
+        ad.backward(mul(w, 2.0), [w])
 
 
 def test_embedding_repeated_ids_accumulate():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from tagparse import autodiff as ad
-from tagparse.checkpoint import CheckpointError, save_checkpoint, load_checkpoint
+from tagparse.checkpoint import (CheckpointError, config_from_fields, save_checkpoint,
+                                 load_checkpoint)
+from tagparse.parser import ParserConfig
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -130,6 +132,8 @@ def test_wrong_shape_named(tmp_path, kind):
     (lambda meta: meta.pop("tag_vocab"), "checkpoint meta lacks 'tag_vocab'"),
     (lambda meta: meta["config"].update(dropout=0.1),
      "checkpoint config has unknown field 'dropout'"),
+    (lambda meta: meta["config"].update(hidden_size=2.5),
+     "checkpoint config field 'hidden_size' must be a JSON integer, not float"),
 ])
 def test_meta_fault_named(tmp_path, kind, edit, message):
     path, load = saved_models(tmp_path)[kind]
@@ -138,3 +142,22 @@ def test_meta_fault_named(tmp_path, kind, edit, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match=message):
         load(path)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"hidden_size": 2.5}, "field 'hidden_size' must be a JSON integer, not float"),
+    ({"hidden_size": False}, "field 'hidden_size' must be a JSON integer, not bool"),
+    ({"learning_rate": True}, "field 'learning_rate' must be a JSON number, not bool"),
+    ({"learning_rate": "0.1"}, "field 'learning_rate' must be a JSON number, not str"),
+    ({"use_tags": 1}, "field 'use_tags' must be a JSON boolean, not int"),
+    ({"use_tags": None}, "field 'use_tags' must be a JSON boolean, not NoneType"),
+])
+def test_config_field_of_the_wrong_json_type_rejected(fields, message):
+    with pytest.raises(ValueError, match=f"^config {message}$"):
+        config_from_fields(ParserConfig, fields, "config")
+
+
+def test_config_number_field_takes_an_integer():
+    config = config_from_fields(ParserConfig, {"learning_rate": 1, "use_tags": False},
+                                "config")
+    assert config.learning_rate == 1 and config.use_tags is False

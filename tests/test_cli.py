@@ -189,9 +189,15 @@ def test_train_parser_requires_tagger_unless_baseline(pipeline, tmp_path,
     assert "--tagger" in err or "--baseline" in err
 
 
+# an integer field of each training config; INT in a case below stands for it
+INT_FIELD = {("train-tagger", "--config"): "batch_size",
+             ("train-tagger", "--model-config"): "hidden_size",
+             ("train-parser", "--config"): "hidden_size"}
 BAD_CONFIGS = {
     "unknown field": ({"dropout": 1}, "has unknown field 'dropout'"),
     "not an object": ([1], "is a JSON list, not an object"),
+    "float for an integer": ({"INT": 2.5}, "field 'INT' must be a JSON integer, not float"),
+    "boolean for an integer": ({"INT": True}, "field 'INT' must be a JSON integer, not bool"),
 }
 
 
@@ -202,14 +208,15 @@ BAD_CONFIGS = {
 def test_bad_training_config_is_one_line_error(command, flag, case, pipeline, tmp_path,
                                                capsys):
     fields, message = BAD_CONFIGS[case]
+    field = INT_FIELD[command, flag]
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(fields))
+    path.write_text(json.dumps(fields).replace("INT", field))
     baseline = ["--baseline"] if command == "train-parser" else []
     code, _, err = run_cli(capsys, command, "--corpus", str(pipeline["corpus"]),
                            "--seed", "0", *baseline, flag, str(path),
                            "--out", str(tmp_path / "out.json"))
     assert code == 1
-    assert err.splitlines() == [f"error: {flag} {path} {message}"]
+    assert err.splitlines() == [f"error: {flag} {path} {message.replace('INT', field)}"]
 
 
 def test_parse_tagged_checkpoint_requires_tagger(pipeline, capsys):
@@ -341,6 +348,7 @@ BAD_EXPERIMENT_CONFIGS = {
     "models a number": '{"models": 3}',
     "anonymize a string": '{"anonymize": "no"}',
     "workers a float": '{"workers": 2.7}',
+    "data with a misspelled key": '{"data": {"grammer": {}}}',
 }
 
 
@@ -355,6 +363,23 @@ def test_bad_experiment_config_exits_nonzero(case, tmp_path, capsys):
     key = case.split()[0]
     if key != "invalid":
         assert f"'{key}'" in err
+
+
+@pytest.mark.parametrize("split, message", [
+    ({}, "split PATH: SplitSpec.__init__() missing 3 required positional arguments: "
+         "'mode', 'seed', and 'sections'"),
+    ({"mode": "query", "seed": 0, "sections": {"test": "abc"}},
+     "split PATH: section 'test' is not a list of integer ids"),
+    ({"mode": "query", "seed": 0, "sections": {"test": [99999]}},
+     "split section 'test' names example id 99999, which the corpus lacks"),
+])
+def test_bad_split_file_is_one_line_error(split, message, pipeline, tmp_path, capsys):
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(split))
+    code, _, err = run_cli(capsys, "evaluate", "--predictions", str(pipeline["pred"]),
+                           "--gold", str(pipeline["corpus"]), "--split", str(path))
+    assert code == 1
+    assert err.splitlines() == [f"error: {message.replace('PATH', str(path))}"]
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,38 @@ def test_resolve_rejects_bad_models_and_seeds():
 def test_resolve_rejects_mistyped_scalars(key, value, kind):
     with pytest.raises(ExperimentError, match=f"'{key}' must be a JSON {kind}"):
         resolve_config({key: value})
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"decode": {"beam_size": 2.5}},
+     "section 'decode' field 'beam_size' must be a JSON integer, not float"),
+    ({"parser": {"epochs": 1.5}}, "section 'parser' field 'epochs' must be a JSON integer"),
+    ({"em": {"beta": True}}, "section 'em' field 'beta' must be a JSON number, not bool"),
+    ({"tagger": [1]}, "config field 'tagger' must be a JSON object, not list"),
+    ({"data": {"grammer": {}}}, "section 'data' has unknown field 'grammer'"),
+    ({"data": {"seed": 2.7}}, "section 'data' field 'seed' must be a JSON integer, not float"),
+    ({"data": {"seed": True}}, "section 'data' field 'seed' must be a JSON integer, not bool"),
+    ({"data": {"path": 5}}, "section 'data' field 'path' must be a JSON string, not int"),
+    ({"data": {"path": "x.jsonl", "seed": 1}}, "either 'path' or 'grammar' and 'seed'"),
+    ({"split": {"moed": "query"}}, "section 'split' has unknown field 'moed'"),
+    ({"split": {"mode": 1}}, "section 'split' field 'mode' must be a JSON string, not int"),
+    ({"seeds": ["a"]}, "'seeds' must be a nonempty list of integers, got ['a']"),
+    ({"seeds": [1.5]}, "'seeds' must be a nonempty list of integers, got [1.5]"),
+    ({"seeds": [0, True]}, "'seeds' must be a nonempty list of integers, got [0, True]"),
+    ({"optimizer": None}, "config has unknown field 'optimizer'"),
+    ({"em": {"seed": 1}}, "section 'em' sets 'seed'"),
+    ({"parser": {"seed": 1}}, "section 'parser' sets 'seed'"),
+    ({"parser": {"use_tags": False}}, "section 'parser' sets 'use_tags'"),
+])
+def test_resolve_rejects_mistyped_and_unknown_section_fields(raw, message):
+    with pytest.raises(ExperimentError, match=re.escape(message)):
+        resolve_config(raw)
+
+
+def test_resolve_takes_an_integer_for_a_number_field():
+    config = resolve_config({"em": {"learning_rate": 1}, "data": {"seed": 3}})
+    assert config["em"] == {"learning_rate": 1}
+    assert config["data"] == {"grammar": None, "seed": 3}
 
 
 def test_resolve_takes_scalars_as_given():

@@ -16,8 +16,8 @@ from tagparse.tagger import (NULL_TAG, UNK_TAG, TaggerConfig, TagVocabulary,
                              init_tagger, predict_tags, tag_distribution)
 
 from tests.oracles import (beam_decode, em_mean_loss, gate_run, gate_step,
-                           gate_tag_distribution, mean_loss, parser_cells,
-                           per_gate_cells, row_blocks, tsum)
+                           gate_tag_distribution, mean_loss, mul, output_probs,
+                           parser_cells, per_gate_cells, row_blocks, tsum)
 from tests.test_parser import UTT, tiny_parser
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -39,7 +39,7 @@ def cell_and_inputs(seed, H, rows, input_size=3):
 
 
 def weighted_sum(out, weights):
-    return tsum(ad.mul(out, weights))
+    return tsum(mul(out, weights))
 
 
 @given(seed=seeds, H=hidden, n=st.integers(1, 7), reverse=st.booleans())
@@ -83,8 +83,8 @@ def test_ragged_lstm_sequence_finite_differences(seed, H, lengths, reverse):
 
     def loss():
         # the mean over rows keeps the loss O(1), within finite-difference resolution
-        return ad.mul(ad.cross_entropy(ad.softmax(cell.run(x, lengths, reverse)), target),
-                      1.0 / sum(lengths))
+        return mul(ad.cross_entropy(ad.softmax(cell.run(x, lengths, reverse)), target),
+                   1.0 / sum(lengths))
 
     err = ad.finite_diff_check(loss, [x, *cell.parameters()], num_coords=30,
                                rng=np.random.default_rng(seed))
@@ -176,6 +176,35 @@ def test_batched_loss_equals_mean_of_per_example_losses(seed, size, hidden_size,
         assert rel_err(grads[p], oracle[p]) <= 1e-9, p.name
 
 
+def graph_nodes(root):
+    """Every op output the recorded graph of `root` reaches, `root` included."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for p in stack.pop().parents:
+            if p.parents and id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
+
+
+@given(seed=seeds, size=st.integers(1, 5))
+def test_batch_loss_applies_the_output_layer_once(seed, size):
+    params = tiny_parser(seed=seed)
+    loss = _batch_loss(params, *random_batch(params, np.random.default_rng(seed), size))
+    readers = [n for n in graph_nodes(loss) if any(p is params.w_out for p in n.parents)]
+    assert len(readers) == 1
+
+
+def test_teacher_forced_step_builds_at_most_twelve_nodes():
+    params = tiny_parser()
+    enc, keys, mask, state, feed = _start(params, [UTT, UTT[:2]], [[0] * 5, [0] * 2])
+    first = ad.tensor(0.0)._id
+    state, feed = _decoder_step(params, [0, 1], state, feed, enc, keys, mask)
+    step = {id(n): n for root in (state, feed) for n in graph_nodes(root)
+            if n._id > first}
+    assert len(step) <= 12
+
+
 @given(seed=seeds, hidden_size=st.integers(2, 8), use_tags=st.booleans(),
        n=st.integers(1, len(UTT)))
 def test_decode_tokens_match_per_gate_oracle(seed, hidden_size, use_tags, n):
@@ -252,13 +281,13 @@ def exhaustive_best(params, utterance, tags, max_length):
     eos = params.out_vocab.tok2id[EOS]
     complete = []
     with ad.no_grad():
-        enc, _, state, feed = _start(params, [utterance], [tags])
+        enc, keys, _, state, feed = _start(params, [utterance], [tags])
         frontier = [((), params.out_vocab.tok2id[BOS], 0.0, state, feed)]
         for _ in range(max_length):
             grown = []
             for prefix, prev, score, state, feed in frontier:
-                state, feed, logits = _decoder_step(params, [prev], state, feed, enc)
-                logp = np.log(np.maximum(ad.softmax(logits).data[0], 1e-300))
+                state, feed = _decoder_step(params, [prev], state, feed, enc, keys)
+                logp = np.log(np.maximum(output_probs(params, feed)[0], 1e-300))
                 for tok, lp in enumerate(logp):
                     if tok == eos:
                         complete.append((score + lp, prefix))

@@ -13,6 +13,7 @@ from tagparse.parser import (BOS, EOS, DecodeConfig, ParserConfig,
                              parse, save_parser, train_parser)
 from tagparse.tagger import NULL_TAG, TaggerConfig, TagVocabulary
 
+from tests.oracles import output_probs
 from tests.test_synthetic import cartesian_grammar
 
 UTT = "frame0 word1 trips to city2".split()
@@ -99,13 +100,13 @@ def test_train_rejects_bad_inputs():
 
 def greedy_oracle(params, utterance, tags, max_length):
     with ad.no_grad():
-        enc, _, state, feed = _start(params, [utterance], [tags])
+        enc, keys, _, state, feed = _start(params, [utterance], [tags])
         prev = params.out_vocab.tok2id[BOS]
         eos = params.out_vocab.tok2id[EOS]
         ids, score = [], 0.0
         for _ in range(max_length):
-            state, feed, logits = _decoder_step(params, [prev], state, feed, enc)
-            logp = np.log(ad.softmax(logits).data[0])
+            state, feed = _decoder_step(params, [prev], state, feed, enc, keys)
+            logp = np.log(output_probs(params, feed)[0])
             prev = int(np.argmax(logp))
             score += float(logp[prev])
             if prev == eos:

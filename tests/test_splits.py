@@ -1,5 +1,7 @@
 """Question- and query-based split construction."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -102,3 +104,38 @@ def test_same_seed_same_split():
     a = make_split(corpus, "query", [0.7, 0.3], seed=3)
     b = make_split(corpus, "query", [0.7, 0.3], seed=3)
     assert a == b
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "is a JSON list, not an object"),
+    ({}, "missing 3 required positional arguments: 'mode', 'seed', and 'sections'"),
+    ({"mode": "query", "seed": 0}, "missing 1 required positional argument: 'sections'"),
+    ({"mode": "query", "seed": 0, "sections": {}, "ratios": [1]},
+     "has unknown field 'ratios'"),
+    ({"mode": "template", "seed": 0, "sections": {}}, "unknown split mode 'template'"),
+    ({"mode": "query", "seed": "0", "sections": {}},
+     "field 'seed' must be a JSON integer, not str"),
+    ({"mode": "query", "seed": True, "sections": {}},
+     "field 'seed' must be a JSON integer, not bool"),
+    ({"mode": "query", "seed": 0, "sections": [1]},
+     "field 'sections' must be a JSON object, not list"),
+    ({"mode": "query", "seed": 0, "sections": {"test": "abc"}},
+     "section 'test' is not a list of integer ids"),
+    ({"mode": "query", "seed": 0, "sections": {"test": [1, 2.0]}},
+     "section 'test' is not a list of integer ids"),
+    ({"mode": "query", "seed": 0, "sections": {"test": [1, False]}},
+     "section 'test' is not a list of integer ids"),
+])
+def test_malformed_split_file_rejected(doc, message, tmp_path):
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SplitError) as err:
+        SplitSpec.load(path)
+    assert str(err.value).startswith(f"split {path}")
+    assert str(err.value).endswith(message)
+
+
+def test_select_names_an_id_the_corpus_lacks():
+    split = SplitSpec("question", 0, {"test": [0, 99999]})
+    with pytest.raises(SplitError, match="section 'test' names example id 99999"):
+        split.select(tiny_corpus(1, 2), "test")
