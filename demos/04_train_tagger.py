@@ -23,7 +23,7 @@ params = train_tagger(corpus, config, log_file=log_path,
                       tagger_config=TaggerConfig(embedding_size=16,
                                                  hidden_size=16))
 
-print("training log (step, phase, loss, dev accuracy):")
+print("training log (step, phase, loss):")
 print(log_path.read_text())
 
 # The synthetic corpus records construction-time gold alignments, so we

@@ -37,10 +37,17 @@ def _read_json(path) -> dict:
         return json.load(f)
 
 
-def _read_config(cls, flag, path, **overrides):
-    """Config `cls` from the JSON object in `path` (if any) and the non-None overrides."""
+def _read_config(cls, flag, path, switches=None, **overrides):
+    """Config `cls` from the JSON object in `path` (if any) and the non-None overrides.
+
+    `switches` maps each key that only a command-line switch sets to that
+    switch; the file may not hold such a key.
+    """
     fields = _read_json(path) if path else {}
     if isinstance(fields, dict):
+        for key, switch in (switches or {}).items():
+            if key in fields:
+                raise ValueError(f"{flag} {path} sets '{key}', which only {switch} chooses")
         fields.update((k, v) for k, v in overrides.items() if v is not None)
         for key in overrides.keys() - fields.keys():
             if cls.__dataclass_fields__[key].default is MISSING:
@@ -139,7 +146,8 @@ def _cmd_tag(args):
 
 def _cmd_train_parser(args):
     corpus = _training_corpus(args)
-    config = _read_config(ParserConfig, "--config", args.config, seed=args.seed,
+    config = _read_config(ParserConfig, "--config", args.config,
+                          switches={"use_tags": "--baseline"}, seed=args.seed,
                           use_tags=not args.baseline)
     tagger = None
     if not args.baseline:

@@ -27,24 +27,64 @@ from .symbols import entity_link, extract_symbols
 __all__ = ["example_from_record", "load_corpus", "save_corpus", "corpus_to_records"]
 
 
+def _is_index(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _indices_below(value, n: int) -> bool:
+    if not isinstance(value, list):
+        return False
+    for i in value:
+        if not (_is_index(i) and 0 <= i < n):
+            return False
+    return True
+
+
+def _entity_span(ent) -> EntitySpan:
+    span = ent.get("span") if isinstance(ent, dict) else None
+    if not (isinstance(span, list) and len(span) == 2 and _is_index(span[0])
+            and _is_index(span[1]) and isinstance(ent.get("id"), str)
+            and isinstance(ent.get("type"), str)):
+        raise CorpusError(f"malformed entity annotation {ent!r:.60}: need a 'span' of "
+                          f"two integers and string 'id' and 'type'")
+    return EntitySpan(span[0], span[1], ent["id"], ent["type"])
+
+
+def _gold_alignment(gold, n: int) -> Optional[dict]:
+    if gold is None:
+        return None
+    if not isinstance(gold, dict):
+        raise CorpusError(f"field 'gold_alignment' must be a JSON object, "
+                          f"not {type(gold).__name__}")
+    for symbol, indices in gold.items():
+        if not _indices_below(indices, n):
+            raise CorpusError(f"gold alignment of {symbol!r} must be a list of word "
+                              f"indices below {n}, got {indices!r:.60}")
+    return {symbol: tuple(indices) for symbol, indices in gold.items()} or None
+
+
 def example_from_record(record: dict, example_id: int) -> CorpusExample:
     """Build a fully derived CorpusExample from one JSONL object."""
-    if "utterance" not in record:
-        raise CorpusError("missing field 'utterance'")
-    if "meaning" not in record:
-        raise CorpusError("missing field 'meaning'")
+    if not isinstance(record, dict):
+        raise CorpusError(f"a corpus line must be a JSON object, not {type(record).__name__}")
+    for key in ("utterance", "meaning"):
+        if key not in record:
+            raise CorpusError(f"missing field '{key}'")
+        if not isinstance(record[key], str):
+            raise CorpusError(f"field '{key}' must be a JSON string, "
+                              f"not {type(record[key]).__name__}")
     formalism = record.get("formalism")
     if formalism not in FORMALISMS:
         raise CorpusError(f"unknown formalism {formalism!r}")
+    entities = record.get("entities")
+    if entities is not None and not isinstance(entities, list):
+        raise CorpusError(f"field 'entities' must be a JSON list, "
+                          f"not {type(entities).__name__}")
 
     tokens = tokenize_utterance(record["utterance"])
     spans = []
-    for ent in record.get("entities") or ():
-        try:
-            start, end = ent["span"]
-            spans.append(EntitySpan(int(start), int(end), ent["id"], ent["type"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusError(f"malformed entity annotation {ent!r}: {exc}")
+    for ent in entities or ():
+        spans.append(_entity_span(ent))
     utterance = Utterance(tokens, tuple(spans))
 
     meaning = MeaningRepresentation(
@@ -56,8 +96,7 @@ def example_from_record(record: dict, example_id: int) -> CorpusExample:
         meaning=meaning,
         symbol_set=SymbolSet(symbols, padded_length=utterance.n),
         template_id=template_id_for(meaning, utterance.entity_spans),
-        gold_alignment={sym: tuple(idx) for sym, idx in record["gold_alignment"].items()}
-        if record.get("gold_alignment") else None,
+        gold_alignment=_gold_alignment(record.get("gold_alignment"), utterance.n),
     )
     return _with_links(example)
 
@@ -80,8 +119,8 @@ def load_corpus(path, formalism: Optional[str] = None) -> List[CorpusExample]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"line {lineno}: invalid JSON ({exc})")
-            if "formalism" not in record and formalism is not None:
-                record = {**record, "formalism": formalism}
+            if formalism is not None and isinstance(record, dict):
+                record = {"formalism": formalism, **record}
             try:
                 examples.append(example_from_record(record, example_id=len(examples)))
             except (CorpusError, ValueError) as exc:

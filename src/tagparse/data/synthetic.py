@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .corpus import CorpusExample
+from .corpus import FORMALISMS, CorpusExample
 from .loader import example_from_record
 
 __all__ = ["SyntheticConfigError", "gen_synthetic", "DEFAULT_GRAMMARS",
@@ -117,15 +117,51 @@ def _instantiate(template: dict, formalism: str, pred_fill: Dict[str, dict],
     return record
 
 
+def _entries(config: dict, key: str, fields: Sequence[str],
+             maps: Sequence[str] = ()) -> List[dict]:
+    """The list under `key`: objects with string `fields` and optional
+    string-valued objects `maps`."""
+    entries = config.get(key)
+    if entries is None:
+        return []
+    if not isinstance(entries, list):
+        raise SyntheticConfigError(
+            f"grammar '{key}' must be a JSON list, not {type(entries).__name__}")
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise SyntheticConfigError(
+                f"{key}[{k}] must be a JSON object, not {type(entry).__name__}")
+        for name in fields:
+            if not isinstance(entry.get(name), str):
+                raise SyntheticConfigError(f"{key}[{k}] needs a string '{name}'")
+        for name in maps:
+            value = entry.get(name)
+            if value is not None and not (isinstance(value, dict) and all(
+                    isinstance(v, str) for v in value.values())):
+                raise SyntheticConfigError(
+                    f"{key}[{k}] '{name}' must be an object of strings")
+    return entries
+
+
 def gen_synthetic(config: Optional[dict] = None, seed: int = 0) -> List[CorpusExample]:
     """Expand a grammar config into a deterministic corpus."""
     config = config if config is not None else DEFAULT_GRAMMARS["lambda"]
+    if not isinstance(config, dict):
+        raise SyntheticConfigError(
+            f"grammar must be a JSON object, not {type(config).__name__}")
     formalism = config.get("formalism", "lambda")
-    entities = list(config.get("entities") or ())
-    predicates = list(config.get("predicates") or ())
-    templates = list(config.get("templates") or ())
+    if formalism not in FORMALISMS:
+        raise SyntheticConfigError(f"unknown formalism {formalism!r}")
+    entities = _entries(config, "entities", ("word", "id", "type"))
+    predicates = _entries(config, "predicates", ("word", "symbol"))
+    templates = _entries(config, "templates", ("utterance", "meaning"),
+                         maps=("aligned", "types"))
     if not templates:
         raise SyntheticConfigError("grammar has no templates")
+    cap = config.get("max_examples")
+    if cap is not None and not (type(cap) is int and cap >= 0):
+        raise SyntheticConfigError(
+            f"max_examples must be an integer >= 0, got {cap!r:.60}")
 
     records: List[dict] = []
     for template in templates:
@@ -163,9 +199,8 @@ def gen_synthetic(config: Optional[dict] = None, seed: int = 0) -> List[CorpusEx
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(records))
-    cap = config.get("max_examples")
     if cap is not None:
-        order = order[:int(cap)]
+        order = order[:cap]
     return [example_from_record(records[i], example_id=k)
             for k, i in enumerate(order)]
 

@@ -21,7 +21,7 @@ zero with the row renormalized, so hard rows sum to one.  Entity-linked
 symbols keep their manually fixed columns in both phases: 1/|span| in
 the soft phase and the span indicator in the hard phase.
 
-The training log is TSV: step, phase, loss, dev tag accuracy.
+The training log is TSV: step, phase, loss.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .data import SymbolSet
 from .nn import Vocab
 from .optim import Adam
 from .tagger import (TaggerConfig, TaggerParams, TagVocabulary, init_tagger, predict_tags,
-                     save_tagger, tag_distribution)
+                     tag_distribution)
 
 __all__ = ["EmError", "EmConfig", "AlignmentPosterior", "compute_posteriors",
            "fix_linked_posteriors", "harden_posteriors", "em_loss", "gold_tag_ids",
@@ -201,16 +201,10 @@ def _usable(corpus) -> List:
     return kept
 
 
-def train_tagger(corpus, config: EmConfig, dev_corpus=None, log_file=None,
-                 best_checkpoint_path=None,
+def train_tagger(corpus, config: EmConfig, log_file=None,
                  tagger_config: TaggerConfig = TaggerConfig()) -> TaggerParams:
-    """Soft-then-hard EM per the update schedule in `config`.
-
-    Returns the parameters after the final update.  When `dev_corpus`
-    (with gold alignments) is given, dev tag accuracy is logged and the
-    best-scoring parameters are also written to `best_checkpoint_path`
-    if one is provided.
-    """
+    """Soft-then-hard EM per the update schedule in `config`; returns the
+    parameters after the final update."""
     examples = _usable(corpus)
     if not examples:
         raise EmError("no trainable examples (every symbol set fills its utterance)")
@@ -223,8 +217,7 @@ def train_tagger(corpus, config: EmConfig, dev_corpus=None, log_file=None,
 
     log = open(log_file, "w") if log_file is not None else None
     if log:
-        log.write("step\tphase\tloss\tdev_accuracy\n")
-    best_dev = -1.0
+        log.write("step\tphase\tloss\n")
     try:
         for step in range(config.total_updates):
             phase = "soft" if step < config.soft_updates else "hard"
@@ -244,15 +237,8 @@ def train_tagger(corpus, config: EmConfig, dev_corpus=None, log_file=None,
                 raise EmError(f"loss diverged at step {step}")
             optimizer.step(ad.backward(loss, params.parameters()))
 
-            if step % config.log_every == 0 or step == config.total_updates - 1:
-                dev_acc = tag_accuracy(params, dev_corpus) if dev_corpus else None
-                if log:
-                    shown = "" if dev_acc is None else f"{dev_acc:.4f}"
-                    log.write(f"{step}\t{phase}\t{float(loss.data):.6f}\t{shown}\n")
-                if dev_acc is not None and dev_acc > best_dev:
-                    best_dev = dev_acc
-                    if best_checkpoint_path is not None:
-                        save_tagger(best_checkpoint_path, params)
+            if log and (step % config.log_every == 0 or step == config.total_updates - 1):
+                log.write(f"{step}\t{phase}\t{float(loss.data):.6f}\n")
     finally:
         if log:
             log.close()

@@ -134,10 +134,13 @@ class EvalReport:
 
 
 def _check_record(record, where: str) -> dict:
-    if not (isinstance(record, dict) and "id" in record and "prediction" in record
-            and not isinstance(record["id"], (list, dict))):
-        raise EvalError(f"{where}: prediction records need a string or number 'id' "
-                        f"and a 'prediction', got {record!r:.60}")
+    if not (isinstance(record, dict) and "id" in record
+            and not isinstance(record["id"], (list, dict))
+            and isinstance(record.get("prediction"), str)
+            and isinstance(record.get("anonymized_prediction", ""), str)):
+        raise EvalError(f"{where}: prediction records need a string or number 'id', "
+                        f"a string 'prediction' and, if any, a string "
+                        f"'anonymized_prediction', got {record!r:.60}")
     return record
 
 
@@ -166,10 +169,9 @@ def evaluate(predictions, gold, per_template: bool = False) -> EvalReport:
     """Score a prediction set against gold examples, aligned by id.
 
     `predictions` is a JSON Lines path or a list of records with at
-    least {id, prediction}; records may add `anonymized_prediction` to
-    also report accuracy on the anonymized forms.  `gold` is a corpus
-    path or
-    a list of corpus examples.
+    least an `id` and a string `prediction`; records may add a string
+    `anonymized_prediction` to also report accuracy on the anonymized
+    forms.  `gold` is a corpus path or a list of corpus examples.
     """
     records = _load_predictions(predictions)
     examples = {ex.example_id: ex for ex in _load_gold(gold)}

@@ -230,8 +230,7 @@ def _prepared(corpus, tagger_params, config) -> Tuple[list, str]:
 
 
 def train_parser(corpus, tagger_params: Optional[TaggerParams],
-                 config: ParserConfig = ParserConfig(), dev_corpus=None,
-                 log_file=None) -> ParserParams:
+                 config: ParserConfig = ParserConfig(), log_file=None) -> ParserParams:
     """Teacher-forced training on (utterance, predicted tags, meaning).
 
     Tags are predicted once with the frozen tagger; the baseline variant
@@ -249,7 +248,8 @@ def train_parser(corpus, tagger_params: Optional[TaggerParams],
     params = init_parser(word_vocab, out_vocab, tag_vocab, config, formalism)
 
     eos = out_vocab.tok2id[EOS]
-    tags = _tags(tagger_params, examples, config)
+    tags = (predict_tags(tagger_params, [ex.utterance for ex in examples])
+            if config.use_tags else [None] * len(examples))
     targets = [np.append(out_vocab.encode(ex.meaning.tokens), eos)
                for ex in examples]
 
@@ -257,9 +257,7 @@ def train_parser(corpus, tagger_params: Optional[TaggerParams],
     rng = np.random.default_rng(config.seed)
     log = open(log_file, "w") if log_file is not None else None
     if log:
-        log.write("epoch\tloss\tdev_exact_match\n")
-    # the tagger is frozen, so one prediction serves every epoch's dev decode
-    dev_tags = _tags(tagger_params, dev_corpus, config) if log and dev_corpus else []
+        log.write("epoch\tloss\n")
     try:
         for epoch in range(config.epochs):
             order = rng.permutation(len(examples))
@@ -275,24 +273,11 @@ def train_parser(corpus, tagger_params: Optional[TaggerParams],
                 optimizer.step(ad.backward(loss, params.parameters()))
                 epoch_losses.append(float(loss.data))
             if log:
-                shown = ""
-                if dev_corpus:
-                    hits = sum(decode(params, ex.utterance, t).tokens
-                               == ex.meaning.tokens
-                               for ex, t in zip(dev_corpus, dev_tags))
-                    shown = f"{hits / len(dev_corpus):.4f}"
-                log.write(f"{epoch}\t{float(np.mean(epoch_losses)):.6f}\t{shown}\n")
+                log.write(f"{epoch}\t{float(np.mean(epoch_losses)):.6f}\n")
     finally:
         if log:
             log.close()
     return params
-
-
-def _tags(tagger_params, corpus, config) -> list:
-    """Predicted tags per example, or None per example for the baseline."""
-    if not config.use_tags:
-        return [None] * len(corpus)
-    return predict_tags(tagger_params, [ex.utterance for ex in corpus])
 
 
 @dataclass(frozen=True)

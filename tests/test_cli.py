@@ -189,6 +189,45 @@ def test_train_parser_requires_tagger_unless_baseline(pipeline, tmp_path,
     assert "--tagger" in err or "--baseline" in err
 
 
+@pytest.mark.parametrize("use_tags, baseline", [(False, []), (True, ["--baseline"])])
+def test_train_parser_config_may_not_set_use_tags(use_tags, baseline, pipeline, tmp_path,
+                                                  capsys):
+    # only --baseline chooses the model; the small sizes keep a wrongly
+    # accepted file quick to train
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"use_tags": use_tags, "epochs": 1, "hidden_size": 4,
+                                "word_embedding_size": 4, "tag_embedding_size": 4}))
+    code, _, err = run_cli(capsys, "train-parser", "--corpus", str(pipeline["corpus"]),
+                           "--tagger", str(pipeline["tagger"]), *baseline, "--seed", "0",
+                           "--config", str(path), "--out", str(tmp_path / "p.json"))
+    assert code == 1
+    assert err.splitlines() == [
+        f"error: --config {path} sets 'use_tags', which only --baseline chooses"]
+
+
+def test_split_with_mistyped_corpus_line_is_one_line_error(pipeline, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    rows = pipeline["corpus"].read_text().splitlines()
+    record = {**json.loads(rows[0]), "utterance": 5}
+    corpus.write_text("\n".join([rows[0], json.dumps(record)]) + "\n")
+    code, _, err = run_cli(capsys, "split", "--corpus", str(corpus), "--mode", "query",
+                           "--out", str(tmp_path / "split.json"))
+    assert code == 1
+    assert err.splitlines() == [
+        "error: line 2: field 'utterance' must be a JSON string, not int"]
+
+
+def test_gen_synthetic_with_malformed_grammar_is_one_line_error(tmp_path, capsys):
+    grammar = cartesian_grammar(2, 2, 1)
+    del grammar["templates"][0]["meaning"]
+    path = tmp_path / "grammar.json"
+    path.write_text(json.dumps(grammar))
+    code, _, err = run_cli(capsys, "gen-synthetic", "--grammar", str(path),
+                           "--out", str(tmp_path / "corpus.jsonl"))
+    assert code == 1
+    assert err.splitlines() == ["error: templates[0] needs a string 'meaning'"]
+
+
 # an integer field of each training config; INT in a case below stands for it
 INT_FIELD = {("train-tagger", "--config"): "batch_size",
              ("train-tagger", "--model-config"): "hidden_size",
@@ -294,6 +333,12 @@ BAD_PREDICTION_LINES = {
     "a number": ("5", "5"),
     "null": ("null", "None"),
     "a list id": ('{"id": [1], "prediction": "a"}', "[1]"),
+    "a number prediction": ('{"id": 1, "prediction": 5}', "'prediction': 5"),
+    "a null prediction": ('{"id": 1, "prediction": null}', "'prediction': None"),
+    "a list prediction": ('{"id": 1, "prediction": ["a"]}', "'prediction': ['a']"),
+    "a number anonymized prediction": ('{"id": 1, "prediction": "a", '
+                                       '"anonymized_prediction": 7}',
+                                       "'anonymized_prediction': 7"),
 }
 
 

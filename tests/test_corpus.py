@@ -58,6 +58,38 @@ def test_missing_meaning_names_line(tmp_path):
         load_corpus(path)
 
 
+MISTYPED_LINES = {
+    "utterance a number": ({**SQL_ROW, "utterance": 5},
+                           "field 'utterance' must be a JSON string, not int"),
+    "meaning a number": ({**SQL_ROW, "meaning": 5},
+                         "field 'meaning' must be a JSON string, not int"),
+    "entities a number": ({**SQL_ROW, "entities": 3},
+                          "field 'entities' must be a JSON list, not int"),
+    "entity span of strings": ({**SQL_ROW, "entities": [{"span": ["5", "6"], "id": "w",
+                                                         "type": "st"}]},
+                               "malformed entity annotation"),
+    "gold alignment a list": ({**SQL_ROW, "gold_alignment": [1]},
+                              "field 'gold_alignment' must be a JSON object, not list"),
+    "gold indices a number": ({**SQL_ROW, "gold_alignment": {"x": 5}},
+                              "gold alignment of 'x' must be a list of word indices "
+                              "below 6, got 5"),
+    "gold index past the utterance": ({**SQL_ROW, "utterance": "area washington",
+                                       "entities": [], "gold_alignment": {"x": [9]}},
+                                      "gold alignment of 'x' must be a list of word "
+                                      "indices below 2, got [9]"),
+    "a list": ([1], "a corpus line must be a JSON object, not list"),
+}
+
+
+@pytest.mark.parametrize("case", list(MISTYPED_LINES))
+def test_mistyped_field_names_line(case, tmp_path):
+    record, message = MISTYPED_LINES[case]
+    path = write_jsonl(tmp_path / "bad.jsonl", [SQL_ROW, record])
+    with pytest.raises(CorpusError) as caught:
+        load_corpus(path, formalism="sql")
+    assert str(caught.value).startswith(f"line 2: {message}")
+
+
 def test_invalid_json_names_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(SQL_ROW) + "\n{not json\n")

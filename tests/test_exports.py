@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +35,22 @@ def test_star_import_binds_every_export():
 def test_test_only_ops_stay_out_of_autodiff(name):
     # these live in tests/oracles.py; the library applies weights through `linear`
     assert not hasattr(importlib.import_module("tagparse.autodiff"), name)
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # the benchmark wraps library functions by module attribute, so a name
+    # deleted here fails there; install every level, then put all back
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    tracer = workloads.Tracer(lambda: 0)
+    try:
+        workloads.install(tracer, workloads.COARSE)
+        workloads.install(tracer, workloads.FULL)
+        hooked = [(owner, attr, original) for owner, attr, original, _ in tracer._patches]
+        assert {(owner.__name__, attr) for owner, attr, _ in hooked} >= {
+            ("tagparse.parser", "decode"), ("tagparse.em", "predict_tags"),
+            ("tagparse.em", "train_tagger"), ("tagparse.parser", "train_parser")}
+    finally:
+        tracer.uninstall()
+    assert [(owner, attr) for owner, attr, original in hooked
+            if getattr(owner, attr) is not original] == []

@@ -117,3 +117,38 @@ def test_entity_links_agree_with_gold_on_synthetic_data():
     for ex in gen_synthetic(seed=4)[:100]:
         for sym, indices in ex.symbol_set.fixed_alignments.items():
             assert ex.gold_alignment.get(sym) == indices
+
+
+def _edited(edit):
+    grammar = cartesian_grammar(2, 2, 1)
+    edit(grammar)
+    return grammar
+
+
+MALFORMED_GRAMMARS = {
+    "a list": ([1], "grammar must be a JSON object, not list"),
+    "unknown formalism": (_edited(lambda g: g.update(formalism="prolog")),
+                          "unknown formalism 'prolog'"),
+    "templates an object": (_edited(lambda g: g.update(templates={})),
+                            "grammar 'templates' must be a JSON list, not dict"),
+    "template without meaning": (_edited(lambda g: g["templates"][0].pop("meaning")),
+                                 "templates[0] needs a string 'meaning'"),
+    "template a string": (_edited(lambda g: g["templates"].append("x")),
+                          "templates[1] must be a JSON object, not str"),
+    "aligned to a number": (_edited(lambda g: g["templates"][0].update(aligned={"to": 1})),
+                            "templates[0] 'aligned' must be an object of strings"),
+    "predicate without symbol": (_edited(lambda g: g["predicates"][1].pop("symbol")),
+                                 "predicates[1] needs a string 'symbol'"),
+    "entity id a number": (_edited(lambda g: g["entities"][0].update(id=5)),
+                           "entities[0] needs a string 'id'"),
+    "max_examples a float": (_edited(lambda g: g.update(max_examples=2.5)),
+                             "max_examples must be an integer >= 0, got 2.5"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_GRAMMARS))
+def test_malformed_grammar_rejected(case):
+    grammar, message = MALFORMED_GRAMMARS[case]
+    with pytest.raises(SyntheticConfigError) as caught:
+        gen_synthetic(grammar, seed=0)
+    assert str(caught.value) == message
