@@ -1,22 +1,30 @@
-"""Parameter checkpoints as JSON containers.
+"""Parameter checkpoints: a JSON header plus a raw float64 payload.
 
-Layout:
+Byte layout (format_version 2):
 
-    {
-      "format_version": 1,
-      "kind": "<tagger|parser|...>",
-      "params": {"<name>": {"shape": [r, c], "values": [flat row-major floats]}},
-      "meta": {...}          # vocabularies, config echoes, anything JSON
-    }
+    b"TAGPARSE"                  8-byte magic
+    <header length>              8-byte little-endian unsigned integer
+    <header>                     UTF-8 JSON, keys sorted, no spaces:
+        {"format_version": 2,
+         "kind": "<tagger|parser|...>",
+         "meta": {...},          # vocabularies, config echoes, anything JSON
+         "params": {"<name>": {"shape": [r, c]}}}
+    <payload>                    each parameter's row-major values as
+                                 little-endian float64, in sorted-name order
 
-JSON floats are written with Python's shortest-repr, which round-trips
-float64 exactly, so identical parameters produce byte-identical files.
-Keys are sorted for the same reason.
+Offsets follow from the sorted names and shapes, so the header stores
+none and blocks can neither overlap nor leave gaps; the payload must end
+exactly at the end of the file.  Raw bytes round-trip every float64
+exactly (NaN payloads, -0.0 and subnormals included), and with sorted
+keys equal parameters and meta give byte-identical files.  Only this
+format is read: a format_version 1 JSON checkpoint fails on its magic.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -26,7 +34,10 @@ from .autodiff import Tensor
 __all__ = ["FORMAT_VERSION", "CheckpointError", "save_checkpoint", "load_checkpoint",
            "config_from_fields", "config_from_meta", "restore_parameters"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_MAGIC = b"TAGPARSE"
+_PREAMBLE = len(_MAGIC) + 8      # magic plus the header length
+_FLOAT = np.dtype("<f8")
 
 
 class CheckpointError(ValueError):
@@ -44,28 +55,62 @@ def save_checkpoint(path, params: Sequence[Tensor], kind: str,
         if p.name in named:
             raise CheckpointError(f"duplicate parameter name '{p.name}'")
         named[p.name] = p.data
-    doc = {
+    header = json.dumps({
         "format_version": FORMAT_VERSION,
         "kind": kind,
-        "params": {
-            name: {"shape": list(arr.shape), "values": np.asarray(arr, dtype=np.float64).ravel().tolist()}
-            for name, arr in named.items()
-        },
         "meta": meta or {},
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
+        "params": {name: {"shape": list(arr.shape)} for name, arr in named.items()},
+    }, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(_MAGIC + len(header).to_bytes(8, "little") + header)
+        for name in sorted(named):
+            f.write(np.ascontiguousarray(named[name], dtype=_FLOAT))
 
 
 def load_checkpoint(path, expect_kind: str | None = None,
                     meta_keys: Sequence[str] = ()) -> Tuple[Dict[str, np.ndarray], dict]:
     """Read a checkpoint; returns ({name: float64 array}, meta).
 
-    A malformed container, or a `meta` that lacks one of `meta_keys`,
+    Every array is a fresh, writable, native-order float64 array.  A
+    malformed container, or a `meta` that lacks one of `meta_keys`,
     raises CheckpointError naming the fault.
     """
-    with open(path) as f:
-        doc = json.load(f)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size < _PREAMBLE:
+            raise CheckpointError(
+                f"checkpoint is {size} bytes, shorter than its {_PREAMBLE}-byte preamble")
+        preamble = f.read(_PREAMBLE)
+        if preamble[:len(_MAGIC)] != _MAGIC:
+            raise CheckpointError(f"checkpoint does not start with {_MAGIC!r}, so it is not "
+                                  f"format_version {FORMAT_VERSION}")
+        header_size = int.from_bytes(preamble[len(_MAGIC):], "little")
+        if header_size > size - _PREAMBLE:
+            raise CheckpointError(f"checkpoint header of {header_size} bytes runs past "
+                                  f"the end of the {size}-byte file")
+        try:
+            doc = json.loads(f.read(header_size).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise CheckpointError(f"checkpoint header is not UTF-8 JSON: {e}") from None
+        shapes, meta = _check_header(doc, expect_kind, meta_keys)
+        end = _PREAMBLE + header_size
+        for name, shape in shapes.items():
+            end += math.prod(shape) * _FLOAT.itemsize
+            if end > size:
+                raise CheckpointError(
+                    f"parameter '{name}': malformed payload, the file ends inside its values")
+        if end < size:
+            raise CheckpointError(f"checkpoint has {size - end} bytes after its last parameter")
+        params = {}
+        for name, shape in shapes.items():
+            values = np.empty(shape, dtype=_FLOAT)
+            f.readinto(values)
+            params[name] = values.astype(np.float64, copy=False)
+    return params, meta
+
+
+def _check_header(doc, expect_kind, meta_keys) -> Tuple[Dict[str, tuple], dict]:
+    """The header's {name: shape} in payload (sorted-name) order, and its meta."""
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint is a JSON {type(doc).__name__}, not an object")
     version = doc.get("format_version")
@@ -82,20 +127,16 @@ def load_checkpoint(path, expect_kind: str | None = None,
     for key in meta_keys:
         if key not in meta:
             raise CheckpointError(f"checkpoint meta lacks '{key}'")
-    params = {}
-    for name, entry in entries.items():
-        if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
-            raise CheckpointError(f"parameter '{name}' lacks 'shape' or 'values'")
-        try:
-            shape = tuple(int(d) for d in entry["shape"])
-            values = np.asarray(entry["values"], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise CheckpointError(f"parameter '{name}': malformed 'shape' or 'values'")
-        expected = int(np.prod(shape)) if shape else 1
-        if values.size != expected:
-            raise CheckpointError(f"parameter '{name}': {values.size} values for shape {shape}")
-        params[name] = values.reshape(shape)
-    return params, meta
+    shapes = {}
+    for name in sorted(entries):
+        entry = entries[name]
+        if not isinstance(entry, dict) or "shape" not in entry:
+            raise CheckpointError(f"parameter '{name}' lacks 'shape'")
+        shape = entry["shape"]
+        if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
+            raise CheckpointError(f"parameter '{name}': malformed 'shape'")
+        shapes[name] = tuple(shape)
+    return shapes, meta
 
 
 # each annotation's JSON values as exact Python types (true is a bool, not an int)

@@ -5,14 +5,15 @@ models to compare ("tagged" runs the tag-augmented parser, "baseline"
 the same architecture without tag inputs).  Each seed runs the full
 pipeline: split the corpus, train the tagger, train each parser on the
 tagger's predicted tags, decode the test section, and score it.  All
-artifacts land under one output directory:
+artifacts land under one output directory (the two checkpoint kinds are
+binary files despite their `.json` names; see `checkpoint`):
 
     manifest.json                   resolved config + code version
     report.tsv                      per-seed and mean rows per model
     seed<k>/split.json
     seed<k>/tagger.json             checkpoint
     seed<k>/tagger_log.tsv
-    seed<k>/parser_<model>.json
+    seed<k>/parser_<model>.json     checkpoint
     seed<k>/parser_<model>_log.tsv
     seed<k>/predictions_<model>.jsonl
     seed<k>/report_<model>.json

@@ -1,9 +1,16 @@
 """Checkpoint container round trips and format guards."""
 
 import json
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tagparse import autodiff as ad
 from tagparse.checkpoint import (CheckpointError, config_from_fields, save_checkpoint,
@@ -27,6 +34,72 @@ def test_round_trip_bit_exact(tmp_path):
     assert meta == {"vocab": ["a", "b"]}
 
 
+def edit_checkpoint(path, edit, out=None):
+    """Decode the format-2 file at `path` into (header doc, {name: array}), pass
+    both to `edit`, which returns the pair to write, and write that pair to
+    `out` (default `path`): the doc as the header and the arrays, in sorted-name
+    order, as the payload."""
+    blob = path.read_bytes()
+    assert blob[:8] == b"TAGPARSE"
+    end = 16 + int.from_bytes(blob[8:16], "little")
+    doc, arrays = json.loads(blob[16:end]), {}
+    for name in sorted(doc["params"]):
+        shape = doc["params"][name]["shape"]
+        arrays[name] = np.frombuffer(blob, "<f8", math.prod(shape), end).reshape(shape)
+        end += arrays[name].nbytes
+    assert end == len(blob)
+    doc, arrays = edit(doc, arrays)
+    header = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    payload = b"".join(np.asarray(arrays[name], "<f8").tobytes() for name in sorted(arrays))
+    (out or path).write_bytes(b"TAGPARSE" + len(header).to_bytes(8, "little")
+                              + header + payload)
+
+
+def edit_header(edit):
+    """An `edit_checkpoint` edit that changes the header doc in place."""
+    def apply(doc, arrays):
+        edit(doc)
+        return doc, arrays
+    return apply
+
+
+@st.composite
+def named_arrays(draw):
+    names = draw(st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=4,
+                          unique=True))
+    shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+    return {name: draw(hnp.arrays(np.float64, shapes, elements=st.floats()))
+            for name in names}
+
+
+@given(named_arrays())
+@example({"special": np.array([-0.0, 0.0, 5e-324, -2.2e-308, np.inf, -np.inf, np.nan]),
+          "scalar": np.array(-0.0), "empty": np.zeros((2, 0))})
+def test_round_trip_property(arrays):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.ckpt", Path(tmp) / "second.ckpt"
+        meta = {"names": sorted(arrays)}
+        save_checkpoint(first, [ad.parameter(v, n) for n, v in arrays.items()], "x", meta)
+        save_checkpoint(second, [ad.parameter(v.copy(), n)
+                                 for n, v in reversed(list(arrays.items()))], "x", meta)
+        assert first.read_bytes() == second.read_bytes()
+        loaded, loaded_meta = load_checkpoint(first, expect_kind="x")
+    assert loaded_meta == meta
+    assert loaded.keys() == arrays.keys()
+    for name, values in arrays.items():
+        got = loaded[name]
+        assert got.shape == values.shape
+        assert got.dtype == np.float64 and got.dtype.isnative
+        assert got.flags.writeable and got.flags.owndata
+        np.testing.assert_array_equal(got.view(np.uint64), values.view(np.uint64))
+
+
+def test_duplicate_parameter_name_rejected(tmp_path):
+    params = [ad.parameter(np.ones(2), "w"), ad.parameter(np.zeros(3), "w")]
+    with pytest.raises(CheckpointError, match="^duplicate parameter name 'w'$"):
+        save_checkpoint(tmp_path / "x.ckpt", params, kind="x")
+
+
 def test_identical_params_identical_bytes(tmp_path):
     arr = np.random.default_rng(1).normal(size=(5, 5))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -38,9 +111,7 @@ def test_identical_params_identical_bytes(tmp_path):
 def test_unsupported_format_version(tmp_path):
     path = tmp_path / "old.json"
     save_checkpoint(path, [ad.parameter(np.ones(2), "w")], kind="x")
-    doc = json.loads(path.read_text())
-    doc["format_version"] = 99
-    path.write_text(json.dumps(doc))
+    edit_checkpoint(path, edit_header(lambda doc: doc.update(format_version=99)))
     with pytest.raises(CheckpointError, match="format_version"):
         load_checkpoint(path)
 
@@ -60,22 +131,93 @@ def test_unnamed_parameter_rejected(tmp_path):
 def test_shape_value_count_mismatch(tmp_path):
     path = tmp_path / "bad.json"
     save_checkpoint(path, [ad.parameter(np.ones((2, 2)), "w")], kind="x")
-    doc = json.loads(path.read_text())
-    doc["params"]["w"]["shape"] = [3, 3]
-    path.write_text(json.dumps(doc))
+    edit_checkpoint(path, edit_header(lambda doc: doc["params"]["w"].update(shape=[3, 3])))
     with pytest.raises(CheckpointError, match="w"):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("field, value", [("shape", "2x2"), ("values", ["a"] * 4)])
+# "values" stores three of the four values that shape [2, 2] needs
+@pytest.mark.parametrize("field, value", [("shape", "2x2"), ("values", [0.0, 1.0, 2.0])])
 def test_malformed_entry_named(tmp_path, field, value):
     path = tmp_path / "bad.json"
     save_checkpoint(path, [ad.parameter(np.ones((2, 2)), "w")], kind="x")
-    doc = json.loads(path.read_text())
-    doc["params"]["w"][field] = value
-    path.write_text(json.dumps(doc))
+
+    def edit(doc, arrays):
+        if field == "shape":
+            doc["params"]["w"]["shape"] = value
+        else:
+            arrays["w"] = np.array(value)
+        return doc, arrays
+
+    edit_checkpoint(path, edit)
     with pytest.raises(CheckpointError, match="parameter 'w': malformed"):
         load_checkpoint(path)
+
+
+def _with_header(blob, header):
+    """`blob` with its header bytes replaced by `header`, length field updated."""
+    end = 16 + int.from_bytes(blob[8:16], "little")
+    return blob[:8] + len(header).to_bytes(8, "little") + header + blob[end:]
+
+
+V1_CHECKPOINT = json.dumps({"format_version": 1, "kind": "x", "meta": {},
+                            "params": {"a": {"shape": [2], "values": [1.0, 2.0]}}})
+
+# each case: the file's bytes from a valid checkpoint's, and the one-line message
+MALFORMED_FILES = {
+    "wrong magic": (lambda blob: b"TAGPARSX" + blob[8:],
+                    "checkpoint does not start with b'TAGPARSE', "
+                    "so it is not format_version 2"),
+    "shorter than the preamble": (lambda blob: blob[:15],
+                                  "checkpoint is 15 bytes, shorter than its "
+                                  "16-byte preamble"),
+    "empty": (lambda blob: b"",
+              "checkpoint is 0 bytes, shorter than its 16-byte preamble"),
+    "header length past the end": (
+        lambda blob: blob[:8] + (len(blob) - 15).to_bytes(8, "little") + blob[16:],
+        "checkpoint header of {n} bytes runs past the end of the {size}-byte file"),
+    "header not UTF-8": (lambda blob: _with_header(blob, b'{"kind":"\xff"}'),
+                         "checkpoint header is not UTF-8 JSON: 'utf-8' codec can't decode "
+                         "byte 0xff in position 9: invalid start byte"),
+    "header not JSON": (lambda blob: _with_header(blob, b"{kind: x}"),
+                        "checkpoint header is not UTF-8 JSON: Expecting property name "
+                        "enclosed in double quotes: line 1 column 2 (char 1)"),
+    # 'a' holds 2 values and 'b' 3; 8 payload bytes are left, so 'a' runs past the end
+    "payload ends inside a parameter": (
+        lambda blob: blob[:-32],
+        "parameter 'a': malformed payload, the file ends inside its values"),
+    "bytes after the last parameter": (lambda blob: blob + bytes(8),
+                                       "checkpoint has 8 bytes after its last parameter"),
+    "version 1 JSON": (lambda blob: V1_CHECKPOINT.encode(),
+                       "checkpoint does not start with b'TAGPARSE', "
+                       "so it is not format_version 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_file_named(tmp_path, case):
+    path = tmp_path / "bad.json"
+    save_checkpoint(path, [ad.parameter(np.ones(3), "b"), ad.parameter(np.ones(2), "a")],
+                    kind="x")
+    transform, message = MALFORMED_FILES[case]
+    blob = transform(path.read_bytes())
+    path.write_bytes(blob)
+    message = message.format(n=len(blob) - 15, size=len(blob))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(path)
+
+
+def test_loaded_tagger_takes_an_adam_step(tmp_path):
+    from tagparse.optim import Adam
+    from tagparse.tagger import load_tagger, save_tagger
+    from tests.test_tagger import small_params
+    path = tmp_path / "tagger.json"
+    save_tagger(path, small_params())
+    params = load_tagger(path).parameters()
+    before = [p.data.copy() for p in params]
+    Adam(params, lr=0.1).step({p: np.ones_like(p.data) for p in params})
+    for p, old in zip(params, before):
+        assert not np.any(p.data == old), p.name
 
 
 def saved_models(tmp_path):
@@ -90,17 +232,13 @@ def saved_models(tmp_path):
     return {"tagger": (tagger, load_tagger), "parser": (parser, load_parser)}
 
 
-def edit_params(path, edit):
-    doc = json.loads(path.read_text())
-    edit(doc["params"])
-    path.write_text(json.dumps(doc))
-
-
 @pytest.mark.parametrize("kind", ["tagger", "parser"])
 def test_missing_parameter_named(tmp_path, kind):
     path, load = saved_models(tmp_path)[kind]
     name = f"{kind}.b_out"
-    edit_params(path, lambda params: params.pop(name))
+    edit_checkpoint(path, lambda doc, arrays: (
+        {**doc, "params": {k: v for k, v in doc["params"].items() if k != name}},
+        {k: v for k, v in arrays.items() if k != name}))
     with pytest.raises(CheckpointError, match=f"lacks parameter '{name}'"):
         load(path)
 
@@ -108,8 +246,10 @@ def test_missing_parameter_named(tmp_path, kind):
 @pytest.mark.parametrize("kind", ["tagger", "parser"])
 def test_extra_parameter_named(tmp_path, kind):
     path, load = saved_models(tmp_path)[kind]
-    edit_params(path, lambda params: params.update(
-        {f"{kind}.stray": {"shape": [2], "values": [0.0, 1.0]}}))
+    stray = f"{kind}.stray"
+    edit_checkpoint(path, lambda doc, arrays: (
+        {**doc, "params": {**doc["params"], stray: {"shape": [2]}}},
+        {**arrays, stray: np.array([0.0, 1.0])}))
     with pytest.raises(CheckpointError, match=f"unexpected parameter '{kind}.stray'"):
         load(path)
 
@@ -119,10 +259,11 @@ def test_wrong_shape_named(tmp_path, kind):
     path, load = saved_models(tmp_path)[kind]
     name = f"{kind}.w_out"
 
-    def transpose(params):
-        params[name]["shape"] = params[name]["shape"][::-1]
+    def transpose(doc, arrays):
+        doc["params"][name]["shape"] = doc["params"][name]["shape"][::-1]
+        return doc, {**arrays, name: arrays[name].T}
 
-    edit_params(path, transpose)
+    edit_checkpoint(path, transpose)
     with pytest.raises(CheckpointError, match=f"parameter '{name}': checkpoint shape"):
         load(path)
 
@@ -137,9 +278,7 @@ def test_wrong_shape_named(tmp_path, kind):
 ])
 def test_meta_fault_named(tmp_path, kind, edit, message):
     path, load = saved_models(tmp_path)[kind]
-    doc = json.loads(path.read_text())
-    edit(doc["meta"])
-    path.write_text(json.dumps(doc))
+    edit_checkpoint(path, edit_header(lambda doc: edit(doc["meta"])))
     with pytest.raises(CheckpointError, match=message):
         load(path)
 

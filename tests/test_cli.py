@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tagparse.cli import main
+from tests.test_checkpoint import edit_checkpoint
 from tests.test_synthetic import cartesian_grammar
 
 LAMBDA_MEANING = ("( lambda $0 e ( and ( oneway $0 ) ( from $0 columbus:ci ) "
@@ -267,10 +268,10 @@ def test_parse_tagged_checkpoint_requires_tagger(pipeline, capsys):
 
 
 def test_parse_with_bad_checkpoint_is_one_line_error(pipeline, tmp_path, capsys):
-    doc = json.loads(pipeline["baseline"].read_text())
-    del doc["params"]["parser.w_att"]
     broken = tmp_path / "broken.json"
-    broken.write_text(json.dumps(doc))
+    edit_checkpoint(pipeline["baseline"], lambda d, a: (
+        {**d, "params": _without(d["params"], "parser.w_att")},
+        _without(a, "parser.w_att")), out=broken)
     code, _, err = run_cli(capsys, "parse",
                            "--corpus", str(pipeline["corpus"]),
                            "--parser", str(broken))
@@ -282,25 +283,30 @@ def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
+# each edit takes and returns (header doc, {name: array}); see edit_checkpoint
 MALFORMED_CHECKPOINTS = {
     "meta without word_vocab": (
-        lambda d: {**d, "meta": _without(d["meta"], "word_vocab")},
+        lambda d, a: ({**d, "meta": _without(d["meta"], "word_vocab")}, a),
         "checkpoint meta lacks 'word_vocab'"),
     "unknown config field": (
-        lambda d: {**d, "meta": {**d["meta"],
-                                 "config": {**d["meta"]["config"], "dropout": 0.5}}},
+        lambda d, a: ({**d, "meta": {**d["meta"],
+                                     "config": {**d["meta"]["config"], "dropout": 0.5}}}, a),
         "checkpoint config has unknown field 'dropout'"),
     "no params": (
-        lambda d: _without(d, "params"),
+        lambda d, a: (_without(d, "params"), a),
         "checkpoint has no 'params' object"),
     "json list": (
-        lambda d: [d],
+        lambda d, a: ([d], a),
         "checkpoint is a JSON list, not an object"),
     "entry without shape": (
-        lambda d: {**d, "params": {**d["params"],
-                                   "parser.w_att": _without(d["params"]["parser.w_att"],
-                                                            "shape")}},
-        "parameter 'parser.w_att' lacks 'shape' or 'values'"),
+        lambda d, a: ({**d, "params": {**d["params"],
+                                       "parser.w_att": _without(d["params"]["parser.w_att"],
+                                                                "shape")}}, a),
+        "parameter 'parser.w_att' lacks 'shape'"),
+    # parser.word_emb is the last parameter in sorted-name order
+    "truncated payload": (
+        lambda d, a: (d, {**a, "parser.word_emb": a["parser.word_emb"].ravel()[:-1]}),
+        "parameter 'parser.word_emb': malformed payload, the file ends inside its values"),
 }
 
 
@@ -309,7 +315,7 @@ def test_parse_with_malformed_checkpoint_is_one_line_error(case, pipeline, tmp_p
                                                            capsys):
     edit, message = MALFORMED_CHECKPOINTS[case]
     broken = tmp_path / "broken.json"
-    broken.write_text(json.dumps(edit(json.loads(pipeline["baseline"].read_text()))))
+    edit_checkpoint(pipeline["baseline"], edit, out=broken)
     code, _, err = run_cli(capsys, "parse",
                            "--corpus", str(pipeline["corpus"]),
                            "--parser", str(broken))
