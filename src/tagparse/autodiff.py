@@ -436,11 +436,9 @@ def backward(root: Tensor, wrt: Iterable[Tensor]) -> dict:
 
 
 def glorot(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """Xavier/Glorot uniform init: U(-a, a), a = sqrt(6 / (fan_in + fan_out))."""
-    if len(shape) == 2:
-        fan_out, fan_in = shape
-    else:
-        fan_out = fan_in = shape[0]
+    """Xavier/Glorot uniform init of a (fan_out, fan_in) weight: U(-a, a),
+    a = sqrt(6 / (fan_in + fan_out))."""
+    fan_out, fan_in = shape
     a = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=shape)
 

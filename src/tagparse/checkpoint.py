@@ -25,14 +25,15 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, parameter
 
 __all__ = ["FORMAT_VERSION", "CheckpointError", "save_checkpoint", "load_checkpoint",
-           "config_from_fields", "config_from_meta", "restore_parameters"]
+           "config_from_fields", "stored"]
 
 FORMAT_VERSION = 2
 _MAGIC = b"TAGPARSE"
@@ -164,28 +165,24 @@ def config_from_fields(cls, fields, source: str, error=ValueError):
         raise error(f"{source}: {e}") from e
 
 
-def config_from_meta(cls, fields):
-    """Rebuild the config dataclass `cls` from a checkpoint's meta echo."""
-    return config_from_fields(cls, fields, "checkpoint config", CheckpointError)
+@contextmanager
+def stored(values: Dict[str, np.ndarray]):
+    """The parameter source of a loaded model: hands each checkpoint array over as-is.
 
-
-def restore_parameters(params: Sequence[Tensor], values: Dict[str, np.ndarray]) -> None:
-    """Load checkpoint arrays into a freshly built model's parameters.
-
-    The checkpoint must hold exactly the model's parameter names, each at
-    the shape the model gives it; the first difference raises
-    CheckpointError naming the parameter.
+    A name the checkpoint lacks, or an array of the wrong shape, raises
+    CheckpointError at the `make` call, so faults show in model order; on
+    a clean exit, the first name (sorted) that no call took raises too.
     """
-    expected = {p.name: p for p in params}
-    for name in expected:
-        if name not in values:
+    left = dict(values)
+
+    def make(name: str, shape: tuple) -> Tensor:
+        if name not in left:
             raise CheckpointError(f"checkpoint lacks parameter '{name}'")
-    for name in sorted(values):
-        if name not in expected:
-            raise CheckpointError(f"checkpoint has unexpected parameter '{name}'")
-    for p in params:
-        if values[p.name].shape != p.data.shape:
-            raise CheckpointError(
-                f"parameter '{p.name}': checkpoint shape {values[p.name].shape}, "
-                f"model expects {p.data.shape}")
-        p.data = values[p.name]
+        if left[name].shape != shape:
+            raise CheckpointError(f"parameter '{name}': checkpoint shape {left[name].shape}, "
+                                  f"model expects {shape}")
+        return parameter(left.pop(name), name)
+
+    yield make
+    if left:
+        raise CheckpointError(f"checkpoint has unexpected parameter '{min(left)}'")

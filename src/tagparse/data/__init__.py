@@ -3,7 +3,7 @@
 from .corpus import (CorpusError, CorpusExample, EntitySpan, FORMALISMS,
                      MeaningRepresentation, SymbolSet, Utterance,
                      anonymize_entities, deanonymize_example,
-                     deanonymize_tokens, meaning_text, template_id_for,
+                     deanonymize_tokens, template_id_for,
                      tokenize_meaning, tokenize_utterance)
 from .loader import corpus_to_records, example_from_record, load_corpus, save_corpus
 from .splits import SECTION_NAMES, SplitError, SplitSpec, make_split
@@ -16,7 +16,7 @@ __all__ = [
     "CorpusError", "CorpusExample", "EntitySpan", "FORMALISMS",
     "MeaningRepresentation", "SymbolSet", "Utterance",
     "anonymize_entities", "deanonymize_example", "deanonymize_tokens",
-    "meaning_text", "template_id_for", "tokenize_meaning", "tokenize_utterance",
+    "template_id_for", "tokenize_meaning", "tokenize_utterance",
     "corpus_to_records", "example_from_record", "load_corpus", "save_corpus",
     "SECTION_NAMES", "SplitError", "SplitSpec", "make_split",
     "LAMBDA_OPERATORS", "MeaningParseError", "SQL_AGGREGATES", "SQL_KEYWORDS",

@@ -28,7 +28,6 @@ __all__ = [
     "FORMALISMS",
     "tokenize_utterance",
     "tokenize_meaning",
-    "meaning_text",
     "template_id_for",
     "anonymize_entities",
     "deanonymize_tokens",
@@ -142,10 +141,6 @@ def tokenize_meaning(text: str, formalism: str) -> Tuple[str, ...]:
             raise CorpusError(f"cannot tokenize SQL near {leftover.split()[0]!r}")
         return tokens
     raise CorpusError(f"unknown formalism {formalism!r}")
-
-
-def meaning_text(tokens: Sequence[str]) -> str:
-    return " ".join(tokens)
 
 
 def _token_matches_entity(token: str, entity_id: str) -> bool:

@@ -106,10 +106,8 @@ def _with_links(example: CorpusExample) -> CorpusExample:
     return replace(example, symbol_set=entity_link(example))
 
 
-def load_corpus(path, formalism: Optional[str] = None) -> List[CorpusExample]:
-    """Load a JSONL corpus; `formalism` fills lines that omit the field."""
-    if formalism is not None and formalism not in FORMALISMS:
-        raise CorpusError(f"unknown formalism {formalism!r}")
+def load_corpus(path) -> List[CorpusExample]:
+    """Load a JSONL corpus; a bad line raises CorpusError naming its number."""
     examples: List[CorpusExample] = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -119,8 +117,6 @@ def load_corpus(path, formalism: Optional[str] = None) -> List[CorpusExample]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"line {lineno}: invalid JSON ({exc})")
-            if formalism is not None and isinstance(record, dict):
-                record = {"formalism": formalism, **record}
             try:
                 examples.append(example_from_record(record, example_id=len(examples)))
             except (CorpusError, ValueError) as exc:

@@ -36,8 +36,7 @@ from .checkpoint import config_from_fields
 from .data import anonymize_entities, gen_synthetic, load_corpus
 from .data.splits import make_split
 from .em import EmConfig, train_tagger
-from .evaluation import (EvalReport, aggregate_reports, evaluate, exact_match,
-                         report_table)
+from .evaluation import aggregate_reports, evaluate, exact_match, report_table
 from .parser import (DecodeConfig, ParserConfig, parse, save_parser,
                      train_parser)
 from .tagger import TaggerConfig, save_tagger
@@ -180,7 +179,7 @@ def predict_records(tagger, parser_params, examples, decode_config, anonymize):
 
 
 def _run_seed(config: dict, seed: int, out_dir: str) -> dict:
-    """Full pipeline for one seed; returns report dicts keyed by model."""
+    """Full pipeline for one seed; returns EvalReports keyed by model."""
     seed_dir = Path(out_dir) / f"seed{seed}"
     seed_dir.mkdir(parents=True, exist_ok=True)
     corpus = _stage("load-data", seed, _load_data, config["data"])
@@ -221,18 +220,11 @@ def _run_seed(config: dict, seed: int, out_dir: str) -> dict:
 
         report = _stage(f"evaluate[{model}]", seed, evaluate, records,
                         test_examples, per_template=True)
-        doc = report.to_dict()
         with open(seed_dir / f"report_{model}.json", "w") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
+            json.dump(report.to_dict(), f, indent=2, sort_keys=True)
             f.write("\n")
-        reports[model] = doc
+        reports[model] = report
     return reports
-
-
-def _report_from_dict(doc: dict) -> EvalReport:
-    return EvalReport(total=doc["total"], correct=doc["correct"],
-                      error_counts=doc["error_counts"],
-                      parse_failures=doc["parse_failures"])
 
 
 def run_experiment(config, out_dir) -> dict:
@@ -269,8 +261,7 @@ def run_experiment(config, out_dir) -> dict:
     results = {}
     rows = []
     for model in config["models"]:
-        pairs = [(seed, _report_from_dict(reports[model]))
-                 for seed, reports in zip(seeds, per_seed)]
+        pairs = [(seed, reports[model]) for seed, reports in zip(seeds, per_seed)]
         model_rows = [{"model": model, **row}
                       for row in aggregate_reports(pairs)]
         rows.extend(model_rows)

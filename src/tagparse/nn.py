@@ -1,23 +1,37 @@
 """Sequence-model building blocks shared by the tagger and the parser.
 
 LSTM gates are packed row-wise as [input; forget; output; candidate]
-blocks of the hidden size.  All weights are Glorot-uniform, all biases
-zero.  The recurrences are fused autodiff ops: sequences stacked
-row-wise run as one `lstm_sequence` node giving an (N, hidden) matrix,
-and one decoder step advances B rows of packed (B, 2 * hidden) [h | c]
-states as one `lstm_step` node.
+blocks of the hidden size.  Every parameter comes from a source
+`make(name, shape)`: `drawn(rng)` for a new model makes each 2-d weight
+Glorot-uniform, drawn in call order, and each 1-d bias zero;
+`checkpoint.stored` hands a loaded model its checkpoint's arrays.
+
+The recurrences are fused autodiff ops: sequences stacked row-wise run
+as one `lstm_sequence` node giving an (N, hidden) matrix, and one
+decoder step advances B rows of packed (B, 2 * hidden) [h | c] states
+as one `lstm_step` node.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 
-__all__ = ["Vocab", "LstmCell", "BiLstmEncoder"]
+__all__ = ["Vocab", "LstmCell", "BiLstmEncoder", "drawn"]
+
+# a parameter source: make(name, shape) -> the named parameter
+Make = Callable[[str, tuple], Tensor]
+
+
+def drawn(rng: np.random.Generator) -> Make:
+    """The parameter source of a new model (see the module docstring)."""
+    def make(name: str, shape: tuple) -> Tensor:
+        return ad.parameter(ad.glorot(rng, shape) if len(shape) == 2 else np.zeros(shape), name)
+    return make
 
 
 class Vocab:
@@ -46,13 +60,12 @@ class Vocab:
 class LstmCell:
     """One LSTM layer: Wx (4H, I), Wh (4H, H), b (4H,)."""
 
-    def __init__(self, name: str, input_size: int, hidden_size: int,
-                 rng: np.random.Generator):
+    def __init__(self, name: str, input_size: int, hidden_size: int, make: Make):
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.wx = ad.parameter(ad.glorot(rng, (4 * hidden_size, input_size)), f"{name}.wx")
-        self.wh = ad.parameter(ad.glorot(rng, (4 * hidden_size, hidden_size)), f"{name}.wh")
-        self.b = ad.parameter(np.zeros(4 * hidden_size), f"{name}.b")
+        self.wx = make(f"{name}.wx", (4 * hidden_size, input_size))
+        self.wh = make(f"{name}.wh", (4 * hidden_size, hidden_size))
+        self.b = make(f"{name}.b", (4 * hidden_size,))
 
     def parameters(self) -> List[Tensor]:
         return [self.wx, self.wh, self.b]
@@ -74,15 +87,15 @@ class BiLstmEncoder:
     """Stacked bidirectional LSTM; per-word output is [forward; backward]."""
 
     def __init__(self, name: str, input_size: int, hidden_size: int,
-                 num_layers: int, rng: np.random.Generator):
+                 num_layers: int, make: Make):
         if num_layers < 1:
             raise ValueError(f"num_layers must be >= 1, got {num_layers}")
         self.hidden_size = hidden_size
         self.layers: List[Tuple[LstmCell, LstmCell]] = []
         size = input_size
         for k in range(num_layers):
-            fwd = LstmCell(f"{name}.l{k}.fwd", size, hidden_size, rng)
-            bwd = LstmCell(f"{name}.l{k}.bwd", size, hidden_size, rng)
+            fwd = LstmCell(f"{name}.l{k}.fwd", size, hidden_size, make)
+            bwd = LstmCell(f"{name}.l{k}.bwd", size, hidden_size, make)
             self.layers.append((fwd, bwd))
             size = 2 * hidden_size
 

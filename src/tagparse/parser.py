@@ -28,10 +28,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import (config_from_meta, load_checkpoint, restore_parameters,
-                         save_checkpoint)
+from .checkpoint import (CheckpointError, config_from_fields, load_checkpoint,
+                         save_checkpoint, stored)
 from .data import deanonymize_tokens
-from .nn import BiLstmEncoder, LstmCell, Vocab
+from .nn import BiLstmEncoder, LstmCell, Vocab, drawn
 from .optim import Adam
 from .tagger import (NULL_TAG, UNK_TAG, TaggerParams, TagVocabulary, _tokens,
                      predict_tags)
@@ -109,24 +109,29 @@ class ParserParams:
 
 def init_parser(word_vocab: Vocab, out_vocab: Vocab, tag_vocab: TagVocabulary,
                 config: ParserConfig, formalism: str) -> ParserParams:
-    rng = np.random.default_rng(config.seed)
+    return _build(word_vocab, out_vocab, tag_vocab, config, formalism,
+                  drawn(np.random.default_rng(config.seed)))
+
+
+def _build(word_vocab: Vocab, out_vocab: Vocab, tag_vocab: TagVocabulary,
+           config: ParserConfig, formalism: str, make) -> ParserParams:
     we, te, h = (config.word_embedding_size, config.tag_embedding_size,
                  config.hidden_size)
     enc_input = we + (te if config.use_tags else 0)
     return ParserParams(
         word_vocab=word_vocab, out_vocab=out_vocab, tag_vocab=tag_vocab,
         config=config, formalism=formalism,
-        word_emb=ad.parameter(ad.glorot(rng, (len(word_vocab), we)), "parser.word_emb"),
-        sym_emb=ad.parameter(ad.glorot(rng, (len(out_vocab), te)), "parser.sym_emb"),
-        encoder=BiLstmEncoder("parser.enc", enc_input, h, config.num_layers, rng),
-        decoder=LstmCell("parser.dec", te + h, h, rng),
-        w_bridge=ad.parameter(ad.glorot(rng, (h, 2 * h)), "parser.w_bridge"),
-        b_bridge=ad.parameter(np.zeros(h), "parser.b_bridge"),
-        w_att=ad.parameter(ad.glorot(rng, (h, 2 * h)), "parser.w_att"),
-        w_comb=ad.parameter(ad.glorot(rng, (h, 3 * h)), "parser.w_comb"),
-        b_comb=ad.parameter(np.zeros(h), "parser.b_comb"),
-        w_out=ad.parameter(ad.glorot(rng, (len(out_vocab), h)), "parser.w_out"),
-        b_out=ad.parameter(np.zeros(len(out_vocab)), "parser.b_out"),
+        word_emb=make("parser.word_emb", (len(word_vocab), we)),
+        sym_emb=make("parser.sym_emb", (len(out_vocab), te)),
+        encoder=BiLstmEncoder("parser.enc", enc_input, h, config.num_layers, make),
+        decoder=LstmCell("parser.dec", te + h, h, make),
+        w_bridge=make("parser.w_bridge", (h, 2 * h)),
+        b_bridge=make("parser.b_bridge", (h,)),
+        w_att=make("parser.w_att", (h, 2 * h)),
+        w_comb=make("parser.w_comb", (h, 3 * h)),
+        b_comb=make("parser.b_comb", (h,)),
+        w_out=make("parser.w_out", (len(out_vocab), h)),
+        b_out=make("parser.b_out", (len(out_vocab),)),
     )
 
 
@@ -288,9 +293,6 @@ class DecodeResult:
     truncated: bool
     formalism: str
 
-    def text(self) -> str:
-        return " ".join(self.tokens)
-
 
 def decode(params: ParserParams, utterance, tags=None,
            config: DecodeConfig = DecodeConfig()) -> DecodeResult:
@@ -379,10 +381,9 @@ def load_parser(path) -> ParserParams:
     values, meta = load_checkpoint(path, "parser", ("word_vocab", "out_vocab",
                                                     "tag_vocab", "formalism", "config"))
     word_list, out_list = meta["word_vocab"], meta["out_vocab"]
-    params = init_parser(Vocab(word_list[1:], unk=word_list[0]),
-                         Vocab(out_list[1:], unk=out_list[0]),
-                         TagVocabulary(meta["tag_vocab"][2:]),
-                         config_from_meta(ParserConfig, meta["config"]),
-                         meta["formalism"])
-    restore_parameters(params.parameters(), values)
-    return params
+    vocabs = (Vocab(word_list[1:], unk=word_list[0]), Vocab(out_list[1:], unk=out_list[0]),
+              TagVocabulary(meta["tag_vocab"][2:]))
+    config = config_from_fields(ParserConfig, meta["config"], "checkpoint config",
+                                CheckpointError)
+    with stored(values) as make:
+        return _build(*vocabs, config, meta["formalism"], make)

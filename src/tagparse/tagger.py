@@ -21,9 +21,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import (config_from_meta, load_checkpoint, restore_parameters,
-                         save_checkpoint)
-from .nn import BiLstmEncoder, Vocab
+from .checkpoint import (CheckpointError, config_from_fields, load_checkpoint,
+                         save_checkpoint, stored)
+from .nn import BiLstmEncoder, Vocab, drawn
 
 __all__ = ["NULL_TAG", "UNK_TAG", "TagVocabulary", "TaggerConfig",
            "TaggerParams", "init_tagger", "tag_distribution",
@@ -99,17 +99,21 @@ class TaggerParams:
 
 def init_tagger(word_vocab: Vocab, tag_vocab: TagVocabulary,
                 config: TaggerConfig = TaggerConfig(), seed: int = 0) -> TaggerParams:
-    rng = np.random.default_rng(seed)
+    return _build(word_vocab, tag_vocab, config, drawn(np.random.default_rng(seed)))
+
+
+def _build(word_vocab: Vocab, tag_vocab: TagVocabulary, config: TaggerConfig,
+           make) -> TaggerParams:
     e, h, t = config.embedding_size, config.hidden_size, len(tag_vocab)
     return TaggerParams(
         word_vocab=word_vocab,
         tag_vocab=tag_vocab,
         config=config,
-        embedding=ad.parameter(ad.glorot(rng, (len(word_vocab), e)), "tagger.emb"),
-        encoder=BiLstmEncoder("tagger.enc", e, h, config.num_layers, rng),
-        w_out=ad.parameter(ad.glorot(rng, (t, 2 * h)), "tagger.w_out"),
-        u_out=ad.parameter(ad.glorot(rng, (t, e)), "tagger.u_out"),
-        b_out=ad.parameter(np.zeros(t), "tagger.b_out"),
+        embedding=make("tagger.emb", (len(word_vocab), e)),
+        encoder=BiLstmEncoder("tagger.enc", e, h, config.num_layers, make),
+        w_out=make("tagger.w_out", (t, 2 * h)),
+        u_out=make("tagger.u_out", (t, e)),
+        b_out=make("tagger.b_out", (t,)),
     )
 
 
@@ -151,6 +155,7 @@ def load_tagger(path) -> TaggerParams:
     id2tok = meta["word_vocab"]
     word_vocab = Vocab(id2tok[1:], unk=id2tok[0])
     tag_vocab = TagVocabulary(meta["tag_vocab"][2:])
-    params = init_tagger(word_vocab, tag_vocab, config_from_meta(TaggerConfig, meta["config"]))
-    restore_parameters(params.parameters(), values)
-    return params
+    config = config_from_fields(TaggerConfig, meta["config"], "checkpoint config",
+                                CheckpointError)
+    with stored(values) as make:
+        return _build(word_vocab, tag_vocab, config, make)

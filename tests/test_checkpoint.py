@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -266,6 +266,81 @@ def test_wrong_shape_named(tmp_path, kind):
     edit_checkpoint(path, transpose)
     with pytest.raises(CheckpointError, match=f"parameter '{name}': checkpoint shape"):
         load(path)
+
+
+def test_loading_draws_nothing(tmp_path, monkeypatch):
+    from tests.test_parser import tiny_parser
+    from tests.test_tagger import small_params
+    saved = {"tagger": small_params(), "parser": tiny_parser()}   # as saved_models saves them
+
+    def no_draws(*args):
+        raise AssertionError("a loader drew initial values")
+
+    models = saved_models(tmp_path)
+    monkeypatch.setattr(ad, "glorot", no_draws)
+    for kind, (path, load) in models.items():
+        for want, got in zip(saved[kind].parameters(), load(path).parameters(), strict=True):
+            assert got.name == want.name
+            np.testing.assert_array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
+@st.composite
+def parameter_faults(draw, shapes):
+    """Edits of a checkpoint whose parameters have `shapes`: ({name: new shape or
+    None to drop}, {added name: shape}), at least one of the two non-empty."""
+    changed = draw(st.dictionaries(
+        st.sampled_from(sorted(shapes)),
+        st.none() | hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+        max_size=4))
+    changed = {n: shape for n, shape in changed.items() if shape != shapes[n]}
+    added = draw(st.dictionaries(
+        st.text("abgprt._", min_size=1, max_size=10).filter(lambda n: n not in shapes),
+        hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3), max_size=3))
+    assume(changed or added)
+    return changed, added
+
+
+def first_fault(model, stored):
+    """The documented message for loading `stored` {name: shape} into `model`
+    {name: shape}, the latter in model order: missing and misshapen parameters in
+    model order, then the first unexpected name in sorted order."""
+    for name, shape in model.items():
+        if name not in stored:
+            return f"checkpoint lacks parameter '{name}'"
+        if stored[name] != shape:
+            return f"parameter '{name}': checkpoint shape {stored[name]}, model expects {shape}"
+    return f"checkpoint has unexpected parameter '{min(stored.keys() - model.keys())}'"
+
+
+@pytest.fixture(scope="module")
+def tiny_models(tmp_path_factory):
+    """{kind: (checkpoint path, loader, {name: shape} in model order)}."""
+    models = saved_models(tmp_path_factory.mktemp("models"))
+    return {kind: (path, load, {p.name: p.data.shape for p in load(path).parameters()})
+            for kind, (path, load) in models.items()}
+
+
+@pytest.mark.parametrize("kind", ["tagger", "parser"])
+@given(data=st.data())
+def test_any_parameter_fault_names_the_first_one(tiny_models, kind, data):
+    path, load, model = tiny_models[kind]
+    changed, added = data.draw(parameter_faults(model))
+
+    def edit(doc, arrays):
+        for name, shape in {**changed, **added}.items():
+            arrays.pop(name, None)
+            if shape is not None:
+                arrays[name] = np.zeros(shape)
+        doc["params"] = {name: {"shape": list(a.shape)} for name, a in arrays.items()}
+        return doc, arrays
+
+    with tempfile.TemporaryDirectory() as tmp:
+        edited = Path(tmp) / "edited.ckpt"
+        edit_checkpoint(path, edit, out=edited)
+        stored = {name: shape for name, shape in {**model, **changed, **added}.items()
+                  if shape is not None}
+        with pytest.raises(CheckpointError, match=f"^{re.escape(first_fault(model, stored))}$"):
+            load(edited)
 
 
 @pytest.mark.parametrize("kind", ["tagger", "parser"])

@@ -86,7 +86,7 @@ def test_mistyped_field_names_line(case, tmp_path):
     record, message = MISTYPED_LINES[case]
     path = write_jsonl(tmp_path / "bad.jsonl", [SQL_ROW, record])
     with pytest.raises(CorpusError) as caught:
-        load_corpus(path, formalism="sql")
+        load_corpus(path)
     assert str(caught.value).startswith(f"line 2: {message}")
 
 
@@ -101,13 +101,6 @@ def test_unknown_formalism_rejected(tmp_path):
     path = write_jsonl(tmp_path / "bad.jsonl", [{**SQL_ROW, "formalism": "prolog"}])
     with pytest.raises(CorpusError, match="prolog"):
         load_corpus(path)
-
-
-def test_formalism_argument_fills_missing_field(tmp_path):
-    record = {k: v for k, v in SQL_ROW.items() if k != "formalism"}
-    path = write_jsonl(tmp_path / "c.jsonl", [record])
-    corpus = load_corpus(path, formalism="sql")
-    assert corpus[0].meaning.formalism == "sql"
 
 
 # every token class of each formalism; a lambda token is any run of

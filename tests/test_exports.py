@@ -1,5 +1,6 @@
 """Every exported name exists, so a deletion cannot leave a dangling export."""
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -35,6 +36,27 @@ def test_star_import_binds_every_export():
 def test_test_only_ops_stay_out_of_autodiff(name):
     # these live in tests/oracles.py; the library applies weights through `linear`
     assert not hasattr(importlib.import_module("tagparse.autodiff"), name)
+
+
+def test_no_module_rebinds_a_tensor_data():
+    # a loaded parameter's `data` is the checkpoint's own array, so rebinding it
+    # would silently detach the two; only Tensor.__init__ binds it, and in-place
+    # updates (`p.data -= ...`) leave the binding alone
+    root = Path(tagparse.__file__).parent
+    rebinds = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {id(node.target) for node in ast.walk(tree) if isinstance(node, ast.AugAssign)}
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name == "Tensor":
+                init = next(f for f in cls.body if getattr(f, "name", None) == "__init__")
+                allowed |= {id(node) for node in ast.walk(init)
+                            if isinstance(node, ast.Attribute) and ast.unparse(node) == "self.data"}
+        rebinds += [f"{path.relative_to(root)}:{node.lineno}: {ast.unparse(node)}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "data"
+                    and isinstance(node.ctx, ast.Store) and id(node) not in allowed]
+    assert rebinds == []
 
 
 def test_benchmark_hooks_resolve(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tagparse import autodiff as ad
 from tagparse.data import SymbolSet
 from tagparse.em import compute_posteriors, em_loss, harden_posteriors
-from tagparse.nn import LstmCell, Vocab
+from tagparse.nn import LstmCell, Vocab, drawn
 from tagparse.parser import (BOS, EOS, DecodeConfig, ParserConfig, _batch_loss,
                              _decoder_step, _start, decode, init_parser)
 from tagparse.tagger import (NULL_TAG, UNK_TAG, TaggerConfig, TagVocabulary,
@@ -33,7 +33,7 @@ def rel_err(got, want):
 
 def cell_and_inputs(seed, H, rows, input_size=3):
     rng = np.random.default_rng(seed)
-    cell = LstmCell("c", input_size, H, rng)
+    cell = LstmCell("c", input_size, H, drawn(rng))
     cell.b.data[:] = rng.normal(size=4 * H)      # nonzero biases, all gates live
     return rng, cell, ad.parameter(rng.normal(size=(rows, input_size)), "x")
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from tagparse import autodiff as ad
-from tagparse.nn import BiLstmEncoder, LstmCell, Vocab
+from tagparse.nn import BiLstmEncoder, LstmCell, Vocab, drawn
 
 
 def test_vocab_roundtrip_and_unknown():
@@ -16,7 +16,7 @@ def test_vocab_roundtrip_and_unknown():
 
 def test_single_token_runs_both_directions():
     rng = np.random.default_rng(42)
-    enc = BiLstmEncoder("enc", input_size=3, hidden_size=4, num_layers=1, rng=rng)
+    enc = BiLstmEncoder("enc", input_size=3, hidden_size=4, num_layers=1, make=drawn(rng))
     out = enc.encode(ad.tensor(rng.normal(size=(1, 3))), [1])
     assert out.data.shape == (1, 8)
     assert np.isfinite(out.data).all()
@@ -24,7 +24,7 @@ def test_single_token_runs_both_directions():
 
 def test_output_shape_n_by_twice_hidden():
     rng = np.random.default_rng(0)
-    enc = BiLstmEncoder("enc", input_size=5, hidden_size=150, num_layers=1, rng=rng)
+    enc = BiLstmEncoder("enc", input_size=5, hidden_size=150, num_layers=1, make=drawn(rng))
     out = enc.encode(ad.tensor(rng.normal(size=(7, 5))), [7])
     assert out.data.shape == (7, 300)
 
@@ -34,7 +34,7 @@ def test_reversal_swaps_directional_states():
     # mirrored positions, because both cells share weights per direction
     # only through their own runs.
     rng = np.random.default_rng(1)
-    cell = LstmCell("c", input_size=3, hidden_size=4, rng=rng)
+    cell = LstmCell("c", input_size=3, hidden_size=4, make=drawn(rng))
     x = rng.normal(size=(5, 3))
     fwd = cell.run(ad.tensor(x), [5])
     bwd = cell.run(ad.tensor(x[::-1].copy()), [5], reverse=True)
@@ -44,7 +44,7 @@ def test_reversal_swaps_directional_states():
 
 def test_stacked_layers_change_input_size():
     rng = np.random.default_rng(2)
-    enc = BiLstmEncoder("enc", input_size=3, hidden_size=4, num_layers=2, rng=rng)
+    enc = BiLstmEncoder("enc", input_size=3, hidden_size=4, num_layers=2, make=drawn(rng))
     assert enc.layers[1][0].input_size == 8
     out = enc.encode(ad.tensor(rng.normal(size=(4, 3))), [4])
     assert out.data.shape == (4, 8)
@@ -52,7 +52,7 @@ def test_stacked_layers_change_input_size():
 
 def test_encoder_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
-    enc = BiLstmEncoder("enc", input_size=3, hidden_size=4, num_layers=1, rng=rng)
+    enc = BiLstmEncoder("enc", input_size=3, hidden_size=4, num_layers=1, make=drawn(rng))
     x = ad.tensor(rng.normal(size=(4, 3)))
     target = rng.uniform(0.1, 1.0, size=(4, 8))
 
