@@ -35,6 +35,7 @@ __all__ = [
     "softmax",
     "lstm_step",
     "lstm_sequence",
+    "attention_decoder",
     "embedding",
     "cross_entropy",
     "PROB_FLOOR",
@@ -214,15 +215,17 @@ def tanh(a) -> Tensor:
     return _node(out, (a,), bwd)
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(a) -> Tensor:
     """Softmax over the last axis; rows are nonnegative and sum to 1."""
     a = _coerce(a)
-    x = a.data
-    if x.ndim == 0:
+    if a.data.ndim == 0:
         raise ShapeError("softmax: scalar input has no axis")
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax(a.data)
 
     def bwd(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -252,20 +255,33 @@ def _lstm_cell(pre: np.ndarray, c: np.ndarray, H: int):
     return act, c_next, np.tanh(c_next)
 
 
-def _lstm_cell_grads(act, c_prev, tc, dh, dc, whd):
-    """Backward of one `_lstm_cell` step.
+def _lstm_cell_derivatives(act, c_prev, tc):
+    """Local derivatives of `_lstm_cell` steps, one row per state, for
+    `_lstm_cell_grads`.
+
+    Computed for all of a backward pass's steps at once, before its time
+    loop.  Returns the (n, 4H) factors from the gradient at c' (at h' for
+    the output gate) to each gate's pre-activation, and the (n, H) factor
+    o * (1 - tanh(c')^2) from h' to c'.
+    """
+    H = tc.shape[1]
+    i, f, o, g = act[:, :H], act[:, H:2 * H], act[:, 2 * H:3 * H], act[:, 3 * H:]
+    return (np.concatenate([g * i * (1.0 - i), c_prev * f * (1.0 - f),
+                            tc * o * (1.0 - o), i * (1.0 - g * g)], axis=1),
+            o * (1.0 - tc * tc))
+
+
+def _lstm_cell_grads(gate_d, cell_d, f, dh, dc, whd):
+    """Backward of one `_lstm_cell` step from its `_lstm_cell_derivatives`
+    rows and its forget gate `f`.
 
     `dh` and `dc` are the gradients at the step's h' and c' from outside
     the step; the path through h' = o * tanh(c') is added here.  Returns
     the gradients at the pre-activations, the previous h and previous c.
     """
-    H = tc.shape[1]
-    i, f, o, g = act[:, :H], act[:, H:2 * H], act[:, 2 * H:3 * H], act[:, 3 * H:]
-    dc = dc + dh * o * (1.0 - tc * tc)
-    dpre = np.concatenate([dc * g * i * (1.0 - i),
-                           dc * c_prev * f * (1.0 - f),
-                           dh * tc * o * (1.0 - o),
-                           dc * i * (1.0 - g * g)], axis=1)
+    dc = dc + dh * cell_d
+    dpre = np.concatenate([dc, dc, dh, dc], axis=1)
+    dpre *= gate_d
     return dpre, dpre @ whd, dc * f
 
 
@@ -289,7 +305,8 @@ def lstm_step(xproj, state, wh) -> Tensor:
     act, c_next, tc = _lstm_cell(xproj.data + h @ whd.T, c, H)
 
     def bwd(grad):
-        dpre, dh, dc = _lstm_cell_grads(act, c, tc, grad[:, :H], grad[:, H:], whd)
+        dpre, dh, dc = _lstm_cell_grads(*_lstm_cell_derivatives(act, c, tc), act[:, H:2 * H],
+                                        grad[:, :H], grad[:, H:], whd)
         return dpre, np.concatenate([dh, dc], axis=1), dpre.T @ h
 
     out = np.concatenate([act[:, 2 * H:3 * H] * tc, c_next], axis=1)
@@ -336,13 +353,93 @@ def lstm_sequence(xproj, wh, lengths, reverse: bool = False) -> Tensor:
     def bwd(grad):
         grad, dpre = grad[perm], np.empty((n, 4 * H))
         dh, dc = np.zeros((2, n, H))
+        gate_d, cell_d = _lstm_cell_derivatives(acts, c_prev, tcs)
         for lo, hi in reversed(steps):
             k = hi - lo                  # sequences at their last step join at zero
             dpre[lo:hi], dh[:k], dc[:k] = _lstm_cell_grads(
-                acts[lo:hi], c_prev[lo:hi], tcs[lo:hi], grad[lo:hi] + dh[:k], dc[:k], whd)
+                gate_d[lo:hi], cell_d[lo:hi], acts[lo:hi, H:2 * H], grad[lo:hi] + dh[:k],
+                dc[:k], whd)
         return dpre[inverse], dpre.T @ h_prev
 
     return _node(hs[inverse], (xproj, wh), bwd)
+
+
+def _attend(h, keys, enc, mask, w_comb, b_comb):
+    """Masked bilinear attention and the input feed of (B, H) decoder states `h`.
+
+    `keys` (N, H) score the stacked encoder states `enc` (N, C); the additive
+    (B, N) `mask`, or None, limits each row to its own utterance.  Returns the
+    attention weights (B, N), the combine layer's input [h; context]
+    (B, H + C) and the feed tanh([h; context] @ w_comb.T + b_comb).
+    """
+    scores = h @ keys.T
+    probs = _softmax(scores if mask is None else scores + mask)
+    hc = np.concatenate([h, probs @ enc], axis=1)
+    return probs, hc, np.tanh(hc @ w_comb.T + b_comb)
+
+
+def attention_decoder(inputs, h0, wx, wh, b, keys, enc, w_comb, b_comb,
+                      mask=None) -> Tensor:
+    """(T * B, H) input feeds of an attentional LSTM decoder teacher-forced
+    through T steps of B rows.
+
+    `inputs` are the (T * B, E) token embeddings, step-major (row t * B + r
+    is row r's input at step t), and `h0` the (B, H) first hidden state; the
+    cell state and the first feed are zero.  Step t advances the cell
+    (`wx` (4H, E + H), `wh`, `b`) on [input; previous feed], then attends
+    with its new h through `_attend`, whose feed is row block t of the
+    output.  Backpropagation through time stays inside this one node, and
+    each weight gradient is one product over all T * B rows.
+    """
+    parents = tuple(_coerce(p) for p in (inputs, h0, wx, wh, b, keys, enc, w_comb, b_comb))
+    x, h0d, wxd, whd, bd, keysd, encd, wcd, bcd = (p.data for p in parents)
+    if (x.ndim != 2 or h0d.ndim != 2 or encd.ndim != 2 or h0d.shape[0] < 1
+            or x.shape[0] % h0d.shape[0]):
+        raise ShapeError(f"attention_decoder: inputs {x.shape} do not split into steps "
+                         f"of h0 {h0d.shape}, or encoder states {encd.shape} are not 2-d")
+    (B, H), E, (N, C), n = h0d.shape, x.shape[1], encd.shape, x.shape[0]
+    want = [(4 * H, E + H), (4 * H, H), (4 * H,), (N, H), (H, H + C), (H,), (B, N)]
+    got = [wxd.shape, whd.shape, bd.shape, keysd.shape, wcd.shape, bcd.shape,
+           (B, N) if mask is None else np.shape(mask)]
+    if got != want:
+        raise ShapeError(f"attention_decoder: wx, wh, b, keys, w_comb, b_comb and mask "
+                         f"are {got}, expected {want}")
+    steps = range(0, n, B)
+    X = np.empty((n, E + H))             # each step's cell input [token; previous feed]
+    X[:, :E] = x
+    acts, probs, hc = np.empty((n, 4 * H)), np.empty((n, N)), np.empty((n, H + C))
+    tcs, h_prev, c_prev, feeds = np.empty((4, n, H))
+    h, c, feed = h0d, np.zeros((B, H)), np.zeros((B, H))
+    for lo in steps:
+        rows = slice(lo, lo + B)
+        X[rows, E:] = feed
+        act, c_next, tc = _lstm_cell(X[rows] @ wxd.T + bd + h @ whd.T, c, H)
+        h_prev[rows], c_prev[rows], acts[rows], tcs[rows] = h, c, act, tc
+        h, c = act[:, 2 * H:3 * H] * tc, c_next
+        probs[rows], hc[rows], feed = _attend(h, keysd, encd, mask, wcd, bcd)
+        feeds[rows] = feed
+
+    def bwd(grad):
+        dpre, dz, dscores = np.empty((n, 4 * H)), np.empty((n, H)), np.empty((n, N))
+        dctx = np.empty((n, C))
+        dtanh, wx_feed = 1.0 - feeds * feeds, wxd[:, E:]
+        dfeed, dh, dc = np.zeros((3, B, H))   # from step t + 1 into step t
+        gate_d, cell_d = _lstm_cell_derivatives(acts, c_prev, tcs)
+        for lo in reversed(steps):
+            rows = slice(lo, lo + B)
+            dz[rows] = (grad[rows] + dfeed) * dtanh[rows]
+            dhc = dz[rows] @ wcd
+            dctx[rows], p = dhc[:, H:], probs[rows]
+            dp = dctx[rows] @ encd.T
+            dscores[rows] = p * (dp - (dp * p).sum(axis=1, keepdims=True))
+            dpre[rows], dh, dc = _lstm_cell_grads(
+                gate_d[rows], cell_d[rows], acts[rows, H:2 * H],
+                dh + dhc[:, :H] + dscores[rows] @ keysd, dc, whd)
+            dfeed = dpre[rows] @ wx_feed
+        return (dpre @ wxd[:, :E], dh, dpre.T @ X, dpre.T @ h_prev, dpre.sum(axis=0),
+                dscores.T @ hc[:, :H], probs.T @ dctx, dz.T @ hc, dz.sum(axis=0))
+
+    return _node(feeds, parents, bwd)
 
 
 def embedding(table, ids) -> Tensor:

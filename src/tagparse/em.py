@@ -217,7 +217,7 @@ def train_tagger(corpus, config: EmConfig, log_file=None,
 
     log = open(log_file, "w") if log_file is not None else None
     if log:
-        log.write("step\tphase\tloss\n")
+        log.write("step\tphase\tloss\tgrad_norm\tclipped\n")
     try:
         for step in range(config.total_updates):
             phase = "soft" if step < config.soft_updates else "hard"
@@ -235,10 +235,11 @@ def train_tagger(corpus, config: EmConfig, log_file=None,
             loss = em_loss(probs, posteriors)
             if not np.isfinite(loss.data):
                 raise EmError(f"loss diverged at step {step}")
-            optimizer.step(ad.backward(loss, params.parameters()))
+            norm = optimizer.step(ad.backward(loss, params.parameters()))
 
             if log and (step % config.log_every == 0 or step == config.total_updates - 1):
-                log.write(f"{step}\t{phase}\t{float(loss.data):.6f}\n")
+                log.write(f"{step}\t{phase}\t{float(loss.data):.6f}\t{norm:.6f}\t"
+                          f"{int(norm > optimizer.clip_norm)}\n")
     finally:
         if log:
             log.close()

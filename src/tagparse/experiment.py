@@ -25,6 +25,7 @@ in parallel worker processes, with aggregation as a final serial step.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
@@ -131,17 +132,29 @@ def resolve_config(raw: dict) -> dict:
 
 
 def code_version() -> str:
-    """Git description of the working tree, or the package version."""
+    """Git description of the working tree; outside a git checkout, the
+    package version and a digest of its sources (see `_source_digest`)."""
+    package = Path(__file__).resolve().parent
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--tags"],
-            cwd=Path(__file__).resolve().parent, capture_output=True,
-            text=True, timeout=10)
+            cwd=package, capture_output=True, text=True, timeout=10)
         if out.returncode == 0 and out.stdout.strip():
             return out.stdout.strip()
     except OSError:
         pass
-    return f"v{__version__}"
+    return f"v{__version__}+{_source_digest(package)}"
+
+
+def _source_digest(root: Path) -> str:
+    """The first 12 hex digits of a sha256 over every `*.py` file under `root`:
+    its relative path, its length and its bytes, in sorted path order."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()[:12]
 
 
 def _load_data(data_config: dict):

@@ -7,9 +7,12 @@ Glorot-uniform, drawn in call order, and each 1-d bias zero;
 `checkpoint.stored` hands a loaded model its checkpoint's arrays.
 
 The recurrences are fused autodiff ops: sequences stacked row-wise run
-as one `lstm_sequence` node giving an (N, hidden) matrix, and one
-decoder step advances B rows of packed (B, 2 * hidden) [h | c] states
-as one `lstm_step` node.
+as one `lstm_sequence` node giving an (N, hidden) matrix, and
+`LstmCell.step` advances B rows of packed (B, 2 * hidden) [h | c]
+states by one step as one `lstm_step` node, which beam search calls
+once per output step.  Teacher-forced training runs the parser's
+decoder cell inside `autodiff.attention_decoder` instead, over its
+`wx`, `wh` and `b`.
 """
 
 from __future__ import annotations

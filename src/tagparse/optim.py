@@ -52,14 +52,15 @@ class Adam:
         self._m = {id(p): np.zeros_like(p.data) for p in self.params}
         self._v = {id(p): np.zeros_like(p.data) for p in self.params}
 
-    def step(self, grads: Dict[Tensor, np.ndarray]) -> None:
-        """Apply one update from a {param: gradient} map (see autodiff.backward)."""
+    def step(self, grads: Dict[Tensor, np.ndarray]) -> float:
+        """Apply one update from a {param: gradient} map (see autodiff.backward);
+        returns the global gradient norm before clipping."""
         for p in self.params:
             g = grads.get(p)
             if g is not None and not np.all(np.isfinite(g)):
                 raise OptimizerError(
                     f"non-finite gradient for parameter '{p.name}' at step {self.t + 1}")
-        clip_global_norm(grads, self.clip_norm)
+        norm = clip_global_norm(grads, self.clip_norm)
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
@@ -74,3 +75,4 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        return norm

@@ -10,11 +10,14 @@ concatenated with the previous attentional state.
 
 Training is teacher-forced cross-entropy on (x, predicted tags, y)
 triples; the tags come from a trained tagger, never from gold
-alignments.  Each minibatch runs as one padded decoder pass: B rows
-advance together, each attending over its own utterance's encoder
-states through an additive mask, and padded steps carry zero loss.
-Decoding is beam search over output tokens, with the live hypotheses
-as the rows of one decoder step; beam size 1 is greedy decoding.  If no
+alignments.  Each minibatch runs as one padded pass of the fused
+`autodiff.attention_decoder` node: B rows advance together through
+every step, each attending over its own utterance's encoder states
+through an additive mask, and padded steps carry zero loss.  Decoding
+is beam search over output tokens, with the live hypotheses as the rows
+of one decoder step: the cell through `LstmCell.step`, then the same
+attention and input-feed arithmetic as the training node
+(`autodiff._attend`).  Beam size 1 is greedy decoding.  If no
 hypothesis finishes within the length budget the best partial sequence
 is returned with a truncation flag.
 """
@@ -156,12 +159,12 @@ def embed_inputs(params: ParserParams, utterance, tags=None) -> Tensor:
 
 
 def _start(params: ParserParams, utterances, tag_lists):
-    """Encode a batch of B utterances and build the decoder's first inputs.
+    """Encode a batch of B utterances and build the decoder's first hidden state.
 
     Returns the encoder states of every utterance stacked row-wise (N, 2H),
     their attention keys (N, H), the (B, N) additive attention mask (0 on a
-    row's own utterance, -inf elsewhere; None when B is 1), the (B, 2H)
-    [h | c] decoder state and the (B, H) input feed.
+    row's own utterance, -inf elsewhere; None when B is 1) and the (B, H)
+    first hidden state; the cell state and the first input feed are zero.
     """
     inputs = [embed_inputs(params, u, t) for u, t in zip(utterances, tag_lists)]
     lengths = np.array([x.data.shape[0] for x in inputs])
@@ -176,34 +179,16 @@ def _start(params: ParserParams, utterances, tag_lists):
     if len(inputs) > 1:
         owner = np.repeat(np.arange(len(inputs)), lengths)
         mask = np.where(owner[None, :] == np.arange(len(inputs))[:, None], 0.0, -np.inf)
-    zeros = np.zeros((len(inputs), h))
     keys = ad.linear(enc, params.w_att)  # h @ keys.T is the bilinear h @ w_att @ enc.T
-    return enc, keys, mask, ad.concat([h0, zeros], axis=1), ad.tensor(zeros)
-
-
-def _decoder_step(params: ParserParams, prev_ids, state, feed, enc, keys, mask=None):
-    """One decoder step for B rows: previous token ids, [h | c] state and feed.
-
-    Each row attends over the stacked encoder states `enc` through their
-    `keys`; the additive `mask` limits it to its own utterance's rows.
-    """
-    y = ad.embedding(params.sym_emb, np.asarray(prev_ids, dtype=np.intp))
-    state = params.decoder.step(
-        params.decoder.project_inputs(ad.concat([y, feed], axis=1)), state)
-    h = ad.cols(state, 0, params.config.hidden_size)
-    scores = ad.linear(h, keys)
-    if mask is not None:
-        scores = ad.add(scores, mask)
-    context = ad.matmul(ad.softmax(scores), enc)
-    feed = ad.tanh(ad.linear(ad.concat([h, context], axis=1), params.w_comb, params.b_comb))
-    return state, feed
+    return enc, keys, mask, h0
 
 
 def _batch_loss(params: ParserParams, utterances, tag_lists, targets) -> Tensor:
     """Mean teacher-forced negative log-likelihood of B output sequences.
 
-    The batch runs as one padded decoder pass of max(len(target)) steps;
-    rows past the end of their target get zero weight in the loss.
+    The batch runs as one padded `attention_decoder` pass of
+    max(len(target)) steps; rows past the end of their target get zero
+    weight in the loss.
     """
     batch, steps = len(targets), max(len(t) for t in targets)
     bos, eos = params.out_vocab.tok2id[BOS], params.out_vocab.tok2id[EOS]
@@ -212,14 +197,14 @@ def _batch_loss(params: ParserParams, utterances, tag_lists, targets) -> Tensor:
     for b, target in enumerate(targets):
         padded[b, :len(target)] = target
         weights[np.arange(len(target)), b, target] = 1.0 / batch
-    enc, keys, mask, state, feed = _start(params, utterances, tag_lists)
-    feeds = []
-    for t in range(steps):
-        prev = padded[:, t - 1] if t else np.full(batch, bos)
-        state, feed = _decoder_step(params, prev, state, feed, enc, keys, mask)
-        feeds.append(feed)
-    # rows are step-major: row t * B + b holds example b at step t
-    logits = ad.linear(ad.concat(feeds, axis=0), params.w_out, params.b_out)
+    enc, keys, mask, h0 = _start(params, utterances, tag_lists)
+    # rows are step-major: row t * B + b holds example b at step t, which reads
+    # the token before it
+    prev = np.concatenate([np.full(batch, bos), padded[:, :-1].T.ravel()])
+    dec = params.decoder
+    feeds = ad.attention_decoder(ad.embedding(params.sym_emb, prev), h0, dec.wx, dec.wh,
+                                 dec.b, keys, enc, params.w_comb, params.b_comb, mask)
+    logits = ad.linear(feeds, params.w_out, params.b_out)
     return ad.cross_entropy(ad.softmax(logits), weights.reshape(steps * batch, -1))
 
 
@@ -262,11 +247,11 @@ def train_parser(corpus, tagger_params: Optional[TaggerParams],
     rng = np.random.default_rng(config.seed)
     log = open(log_file, "w") if log_file is not None else None
     if log:
-        log.write("epoch\tloss\n")
+        log.write("epoch\tloss\tgrad_norm_max\tclipped_steps\n")
     try:
         for epoch in range(config.epochs):
             order = rng.permutation(len(examples))
-            epoch_losses = []
+            epoch_losses, norms = [], []
             for start in range(0, len(examples), config.batch_size):
                 batch = order[start:start + config.batch_size]
                 loss = _batch_loss(params, [examples[k].utterance for k in batch],
@@ -275,10 +260,12 @@ def train_parser(corpus, tagger_params: Optional[TaggerParams],
                 if not np.isfinite(loss.data):
                     raise ParserError(
                         f"loss diverged in epoch {epoch} at batch {start // config.batch_size}")
-                optimizer.step(ad.backward(loss, params.parameters()))
+                norms.append(optimizer.step(ad.backward(loss, params.parameters())))
                 epoch_losses.append(float(loss.data))
             if log:
-                log.write(f"{epoch}\t{float(np.mean(epoch_losses)):.6f}\n")
+                clipped = sum(norm > optimizer.clip_norm for norm in norms)
+                log.write(f"{epoch}\t{float(np.mean(epoch_losses)):.6f}\t"
+                          f"{max(norms):.6f}\t{clipped}\n")
     finally:
         if log:
             log.close()
@@ -302,15 +289,20 @@ def decode(params: ParserParams, utterance, tags=None,
     All live x |out| extensions are ranked by score together; ties go to
     the earlier hypothesis, then to the lower token id.
     """
-    eos = params.out_vocab.tok2id[EOS]
+    eos, H, dec = params.out_vocab.tok2id[EOS], params.config.hidden_size, params.decoder
+    w_comb, b_comb = params.w_comb.data, params.b_comb.data
+    w_out, b_out = params.w_out.data, params.b_out.data
     with ad.no_grad():
-        enc, keys, _, state, feed = _start(params, [utterance], [tags])
+        enc, keys, _, h0 = _start(params, [utterance], [tags])
+        state, feed = ad.concat([h0, np.zeros((1, H))], axis=1), np.zeros((1, H))
         prev, seqs, scores = [params.out_vocab.tok2id[BOS]], [()], np.zeros(1)
         completed = []                   # (score, token ids without the end marker)
         for _ in range(config.max_length):
-            state, feed = _decoder_step(params, prev, state, feed, enc, keys)
-            logits = ad.linear(feed, params.w_out, params.b_out)
-            logp = np.log(np.maximum(ad.softmax(logits).data, 1e-300))
+            x = np.concatenate([params.sym_emb.data[prev], feed], axis=1)
+            state = dec.step(dec.project_inputs(x), state)
+            _, _, feed = ad._attend(state.data[:, :H], keys.data, enc.data, None,
+                                    w_comb, b_comb)
+            logp = np.log(np.maximum(ad._softmax(feed @ w_out.T + b_out), 1e-300))
             totals = (scores[:, None] + logp).ravel()
             best = np.argsort(-totals, kind="stable")[:config.beam_size]
             rows, prev = np.divmod(best, logp.shape[1])
@@ -320,7 +312,7 @@ def decode(params: ParserParams, utterance, tags=None,
                 break
             rows, prev, scores = rows[~ended], prev[~ended], totals[best[~ended]]
             seqs = [seqs[r] + (int(t),) for r, t in zip(rows, prev)]
-            state, feed = ad.tensor(state.data[rows]), ad.tensor(feed.data[rows])
+            state, feed = ad.tensor(state.data[rows]), feed[rows]
             # token log-probs are <= 0, so no live hypothesis can
             # overtake the best finished one once it falls behind
             if completed and max(c[0] for c in completed) >= scores.max():

@@ -4,8 +4,9 @@ They compute the same functions out of small autodiff ops: the LSTM cell
 as a per-gate chain of column slices, sigmoids, tanhs and products run
 one (1, 4H) row at a time, one sequence at a time, the encoder with one
 concat per word, the tagger one utterance at a time, the parser and EM
-losses as the mean of per-example losses, and beam search with one
-decoder step per hypothesis.  Tests compare the library against them;
+losses as the mean of per-example losses, the teacher-forced decoder as
+one small-op step at a time, and beam search with one decoder step per
+hypothesis.  Tests compare the library against them;
 the package never uses them.  The autodiff ops that only tests need,
 `sigmoid`, `tsum`, `transpose` and `mul`, live here too.
 """
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tagparse import autodiff as ad
-from tagparse.parser import (BOS, EOS, DecodeResult, _decoder_step, _start,
-                             embed_inputs)
+from tagparse.parser import BOS, EOS, DecodeResult, _start, embed_inputs
 from tagparse.tagger import tag_distribution
 
 
@@ -200,6 +200,53 @@ def mean_loss(params, utterances, tag_lists, targets):
                     for u, t, y in zip(utterances, tag_lists, targets)])
 
 
+def start(params, utterances, tag_lists):
+    """`_start`'s encoder states, keys and mask, then the first [h | c] decoder
+    state and input feed as tensors."""
+    enc, keys, mask, h0 = _start(params, utterances, tag_lists)
+    zeros = np.zeros_like(h0.data)
+    return enc, keys, mask, ad.concat([h0, zeros], axis=1), ad.tensor(zeros)
+
+
+def decoder_step(params, prev_ids, state, feed, enc, keys, mask=None):
+    """One decoder step for B rows out of 12 graph nodes: previous token ids,
+    [h | c] state and feed in, next state and feed out.
+
+    Each row attends over the stacked encoder states `enc` through their
+    `keys`; the additive `mask` limits it to its own utterance's rows.
+    """
+    y = ad.embedding(params.sym_emb, np.asarray(prev_ids, dtype=np.intp))
+    state = params.decoder.step(
+        params.decoder.project_inputs(ad.concat([y, feed], axis=1)), state)
+    h = ad.cols(state, 0, params.config.hidden_size)
+    scores = ad.linear(h, keys)
+    if mask is not None:
+        scores = ad.add(scores, mask)
+    context = ad.matmul(ad.softmax(scores), enc)
+    feed = ad.tanh(ad.linear(ad.concat([h, context], axis=1), params.w_comb, params.b_comb))
+    return state, feed
+
+
+def step_loss(params, utterances, tag_lists, targets):
+    """Minibatch loss as one padded pass of `decoder_step`s, the output layer
+    applied once to every step's stacked feed."""
+    batch, steps = len(targets), max(len(t) for t in targets)
+    bos, eos = params.out_vocab.tok2id[BOS], params.out_vocab.tok2id[EOS]
+    padded = np.full((batch, steps), eos, dtype=np.intp)
+    weights = np.zeros((steps, batch, len(params.out_vocab)))
+    for b, target in enumerate(targets):
+        padded[b, :len(target)] = target
+        weights[np.arange(len(target)), b, target] = 1.0 / batch
+    enc, keys, mask, state, feed = start(params, utterances, tag_lists)
+    feeds = []
+    for t in range(steps):
+        prev = padded[:, t - 1] if t else np.full(batch, bos)
+        state, feed = decoder_step(params, prev, state, feed, enc, keys, mask)
+        feeds.append(feed)
+    logits = ad.linear(ad.concat(feeds, axis=0), params.w_out, params.b_out)
+    return ad.cross_entropy(ad.softmax(logits), weights.reshape(steps * batch, -1))
+
+
 def em_example_loss(probs, posterior):
     """-J of one utterance, weights accumulated one posterior column at a time."""
     weights = np.zeros_like(probs.data)
@@ -235,7 +282,7 @@ def beam_decode(params, utterance, tags, config):
     lowest id); a stable sort by score then keeps hypothesis order.
     """
     with ad.no_grad():
-        enc, keys, _, state, feed = _start(params, [utterance], [tags])
+        enc, keys, _, state, feed = start(params, [utterance], [tags])
         eos = params.out_vocab.tok2id[EOS]
         bos = params.out_vocab.tok2id[BOS]
         alive = [Hyp((), 0.0, state, feed)]
@@ -244,8 +291,8 @@ def beam_decode(params, utterance, tags, config):
             candidates = []
             for hyp in alive:
                 prev = hyp.token_ids[-1] if hyp.token_ids else bos
-                state, feed = _decoder_step(params, [prev], hyp.state, hyp.feed,
-                                            enc, keys)
+                state, feed = decoder_step(params, [prev], hyp.state, hyp.feed,
+                                           enc, keys)
                 logp = np.log(np.maximum(output_probs(params, feed)[0], 1e-300))
                 for tok in np.argsort(-logp, kind="stable")[:config.beam_size]:
                     candidates.append(Hyp(hyp.token_ids + (int(tok),),

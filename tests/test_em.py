@@ -350,9 +350,12 @@ def test_train_loss_decreases(tmp_path):
     corpus = synthetic_corpus()
     train_tagger(corpus, small_config(), log_file=log)
     lines = log.read_text().splitlines()
-    assert lines[0] == "step\tphase\tloss"
+    assert lines[0] == "step\tphase\tloss\tgrad_norm\tclipped"
     rows = [line.split("\t") for line in lines[1:]]
-    assert {len(r) for r in rows} == {3}
+    assert {len(r) for r in rows} == {5}
+    # the norm is before clipping, so the flag reads it against Adam's bound
+    assert all(r[4] == str(int(float(r[3]) > Adam.clip_norm)) for r in rows)
+    assert all(float(r[3]) > 0 for r in rows)
     assert [r[1] for r in rows[:20]] == ["soft"] * 20
     assert [r[1] for r in rows[20:]] == ["hard"] * 20
     losses = [float(r[2]) for r in rows]

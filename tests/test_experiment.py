@@ -1,10 +1,13 @@
 import hashlib
 import json
 import re
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
 
+from tagparse import __version__, experiment
 from tagparse.data import gen_synthetic
 from tagparse.experiment import (DEFAULT_SEEDS, ExperimentError, code_version,
                                  resolve_config, run_experiment)
@@ -126,6 +129,21 @@ def test_resolve_null_means_the_default():
 
 def test_code_version_is_nonempty():
     assert code_version().strip()
+
+
+def test_code_version_outside_git_digests_the_sources(tmp_path, monkeypatch):
+    package = Path(experiment.__file__).resolve().parent
+    monkeypatch.setattr(experiment.subprocess, "run",
+                        lambda *a, **k: subprocess.CompletedProcess(a, 128, "", ""))
+    assert code_version() == f"v{__version__}+{experiment._source_digest(package)}"
+    copy = tmp_path / "tagparse"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    before = experiment._source_digest(copy)
+    assert before == experiment._source_digest(package)
+    assert re.fullmatch(r"[0-9a-f]{12}", before)
+    parser = copy / "parser.py"
+    parser.write_text(parser.read_text() + "\n")
+    assert experiment._source_digest(copy) != before
 
 
 # --- full pipeline on a tiny corpus ---

@@ -11,13 +11,14 @@ from tagparse.data import SymbolSet
 from tagparse.em import compute_posteriors, em_loss, harden_posteriors
 from tagparse.nn import LstmCell, Vocab, drawn
 from tagparse.parser import (BOS, EOS, DecodeConfig, ParserConfig, _batch_loss,
-                             _decoder_step, _start, decode, init_parser)
+                             decode, init_parser)
 from tagparse.tagger import (NULL_TAG, UNK_TAG, TaggerConfig, TagVocabulary,
                              init_tagger, predict_tags, tag_distribution)
 
-from tests.oracles import (beam_decode, em_mean_loss, gate_run, gate_step,
-                           gate_tag_distribution, mean_loss, mul, output_probs,
-                           parser_cells, per_gate_cells, row_blocks, tsum)
+from tests.oracles import (beam_decode, decoder_step, em_mean_loss, gate_run,
+                           gate_step, gate_tag_distribution, mean_loss, mul,
+                           output_probs, parser_cells, per_gate_cells, row_blocks,
+                           start, step_loss, tsum)
 from tests.test_parser import UTT, tiny_parser
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -195,14 +196,69 @@ def test_batch_loss_applies_the_output_layer_once(seed, size):
     assert len(readers) == 1
 
 
-def test_teacher_forced_step_builds_at_most_twelve_nodes():
-    params = tiny_parser()
-    enc, keys, mask, state, feed = _start(params, [UTT, UTT[:2]], [[0] * 5, [0] * 2])
-    first = ad.tensor(0.0)._id
-    state, feed = _decoder_step(params, [0, 1], state, feed, enc, keys, mask)
-    step = {id(n): n for root in (state, feed) for n in graph_nodes(root)
-            if n._id > first}
-    assert len(step) <= 12
+@given(seed=seeds, size=st.integers(1, 5), use_tags=st.booleans())
+def test_batch_loss_graph_size_does_not_grow_with_target_length(seed, size, use_tags):
+    # every decoder step runs inside one attention_decoder node
+    params = tiny_parser(use_tags=use_tags, seed=seed)
+    utterances, tag_lists, _ = random_batch(params, np.random.default_rng(seed), size)
+    eos = params.out_vocab.tok2id[EOS]
+    counts = []
+    for steps in (1, 12):
+        targets = [np.full(steps, eos, dtype=np.intp)] * size
+        counts.append(len(graph_nodes(_batch_loss(params, utterances, tag_lists, targets))))
+    assert counts[0] == counts[1]
+
+
+@given(seed=seeds, size=st.integers(1, 5), hidden_size=st.integers(1, 8),
+       use_tags=st.booleans())
+def test_attention_decoder_matches_per_step_oracle(seed, size, hidden_size, use_tags):
+    # mixed target lengths pad some rows; B > 1 masks each row to its utterance
+    params = tiny_parser(use_tags=use_tags, hidden=hidden_size, seed=seed)
+    batch = random_batch(params, np.random.default_rng(seed), size)
+    got, want = _batch_loss(params, *batch), step_loss(params, *batch)
+    assert rel_err(got.data, want.data) <= 1e-9
+    grads = ad.backward(got, params.parameters())
+    oracle = ad.backward(want, params.parameters())
+    for p in params.parameters():
+        assert rel_err(grads[p], oracle[p]) <= 1e-9, p.name
+
+
+@given(seed=seeds, B=st.integers(1, 3), T=st.integers(1, 4), H=st.integers(1, 4),
+       masked=st.booleans())
+def test_attention_decoder_finite_differences(seed, B, T, H, masked):
+    rng = np.random.default_rng(seed)
+    E, C, N = 2, 3, B + 2
+    shapes = {"inputs": (T * B, E), "h0": (B, H), "wx": (4 * H, E + H), "wh": (4 * H, H),
+              "b": (4 * H,), "keys": (N, H), "enc": (N, C), "w_comb": (H, H + C),
+              "b_comb": (H,)}
+    args = [ad.parameter(rng.normal(size=shape), name) for name, shape in shapes.items()]
+    mask = None
+    if masked:
+        # row r sees encoder rows r .. N - 1, so every row sees at least two
+        mask = np.where(np.arange(N)[None, :] >= np.arange(B)[:, None], 0.0, -np.inf)
+    target = rng.uniform(0.1, 1.0, size=(T * B, H))
+
+    def loss():
+        return mul(ad.cross_entropy(ad.softmax(ad.attention_decoder(*args, mask=mask)),
+                                    target), 1.0 / (T * B))
+
+    err = ad.finite_diff_check(loss, args, num_coords=30, rng=np.random.default_rng(seed))
+    assert err <= 1e-5
+
+
+def test_attention_decoder_rejects_mismatched_shapes():
+    H, E, C, N, B = 2, 3, 4, 5, 2
+    ok = {"inputs": (3 * B, E), "h0": (B, H), "wx": (4 * H, E + H), "wh": (4 * H, H),
+          "b": (4 * H,), "keys": (N, H), "enc": (N, C), "w_comb": (H, H + C),
+          "b_comb": (H,)}
+    assert ad.attention_decoder(*(np.zeros(s) for s in ok.values())).data.shape == (3 * B, H)
+    for name, shape in [("inputs", (5, E)), ("h0", (B,)), ("enc", (N,)), ("wx", (4 * H, E)),
+                        ("keys", (N, H + 1)), ("w_comb", (H, H)), ("b_comb", (H + 1,))]:
+        args = {**ok, name: shape}
+        with pytest.raises(ad.ShapeError, match="attention_decoder: "):
+            ad.attention_decoder(*(np.zeros(s) for s in args.values()))
+    with pytest.raises(ad.ShapeError, match="attention_decoder: "):
+        ad.attention_decoder(*(np.zeros(s) for s in ok.values()), mask=np.zeros((B, N - 1)))
 
 
 @given(seed=seeds, hidden_size=st.integers(2, 8), use_tags=st.booleans(),
@@ -216,7 +272,16 @@ def test_decode_tokens_match_per_gate_oracle(seed, hidden_size, use_tags, n):
         config = DecodeConfig(beam_size=beam, max_length=8)
         fused = decode(params, utterance, tags, config)
         with per_gate_cells(parser_cells(params)):
+            gate_cell_step, calls = params.decoder.step, []
+
+            def counted(xproj, state):
+                calls.append(1)
+                return gate_cell_step(xproj, state)
+
+            params.decoder.step = counted
             oracle = decode(params, utterance, tags, config)
+        # one step per output token, plus the end marker's, reaches the swapped cell
+        assert len(calls) >= len(oracle.token_ids) + (not oracle.truncated)
         assert fused.token_ids == oracle.token_ids
         assert fused.truncated == oracle.truncated
         np.testing.assert_allclose(fused.score, oracle.score, rtol=1e-12)
@@ -281,12 +346,12 @@ def exhaustive_best(params, utterance, tags, max_length):
     eos = params.out_vocab.tok2id[EOS]
     complete = []
     with ad.no_grad():
-        enc, keys, _, state, feed = _start(params, [utterance], [tags])
+        enc, keys, _, state, feed = start(params, [utterance], [tags])
         frontier = [((), params.out_vocab.tok2id[BOS], 0.0, state, feed)]
         for _ in range(max_length):
             grown = []
             for prefix, prev, score, state, feed in frontier:
-                state, feed = _decoder_step(params, [prev], state, feed, enc, keys)
+                state, feed = decoder_step(params, [prev], state, feed, enc, keys)
                 logp = np.log(np.maximum(output_probs(params, feed)[0], 1e-300))
                 for tok, lp in enumerate(logp):
                     if tok == eos:

@@ -60,6 +60,13 @@ def test_clip_global_norm_joint_over_parameters():
     np.testing.assert_allclose(grads[a] / grads[b][0], np.ones(3))
 
 
+@pytest.mark.parametrize("scale", [0.1, 10.0])
+def test_step_returns_the_norm_before_clipping(scale):
+    a, b = ad.parameter(np.zeros(3), "a"), ad.parameter(np.zeros(4), "b")
+    grads = {a: np.full(3, scale), b: np.full(4, scale)}
+    assert Adam([a, b]).step(grads) == pytest.approx(scale * np.sqrt(7.0), rel=1e-15)
+
+
 def test_clip_noop_when_under_threshold():
     a = ad.parameter(np.zeros(2), "a")
     grads = {a: np.array([0.3, 0.4])}

@@ -7,13 +7,13 @@ from tagparse import autodiff as ad
 from tagparse.data import anonymize_entities, gen_synthetic
 from tagparse.em import EmConfig, train_tagger
 from tagparse.nn import Vocab
+from tagparse.optim import Adam
 from tagparse.parser import (BOS, EOS, DecodeConfig, ParserConfig,
-                             ParserError, _decoder_step, _start,
-                             decode, embed_inputs, init_parser, load_parser,
+                             ParserError, decode, embed_inputs, init_parser, load_parser,
                              parse, save_parser, train_parser)
 from tagparse.tagger import NULL_TAG, TaggerConfig, TagVocabulary
 
-from tests.oracles import output_probs
+from tests.oracles import decoder_step, output_probs, start
 from tests.test_synthetic import cartesian_grammar
 
 UTT = "frame0 word1 trips to city2".split()
@@ -100,12 +100,12 @@ def test_train_rejects_bad_inputs():
 
 def greedy_oracle(params, utterance, tags, max_length):
     with ad.no_grad():
-        enc, keys, _, state, feed = _start(params, [utterance], [tags])
+        enc, keys, _, state, feed = start(params, [utterance], [tags])
         prev = params.out_vocab.tok2id[BOS]
         eos = params.out_vocab.tok2id[EOS]
         ids, score = [], 0.0
         for _ in range(max_length):
-            state, feed = _decoder_step(params, [prev], state, feed, enc, keys)
+            state, feed = decoder_step(params, [prev], state, feed, enc, keys)
             logp = np.log(output_probs(params, feed)[0])
             prev = int(np.argmax(logp))
             score += float(logp[prev])
@@ -206,10 +206,15 @@ def test_training_loss_descends(tmp_path):
                               batch_size=6, learning_rate=0.02, seed=0),
                  log_file=log)
     lines = log.read_text().splitlines()
-    assert lines[0] == "epoch\tloss"
+    assert lines[0] == "epoch\tloss\tgrad_norm_max\tclipped_steps"
     rows = [line.split("\t") for line in lines[1:]]
     assert [r[0] for r in rows] == [str(epoch) for epoch in range(6)]
-    assert {len(r) for r in rows} == {2}
+    assert {len(r) for r in rows} == {4}
+    batches = -(-len(corpus) // 6)
+    for r in rows:
+        # an epoch clips some step exactly when its largest pre-clip norm exceeds the bound
+        assert 0 <= int(r[3]) <= batches
+        assert (int(r[3]) > 0) == (float(r[2]) > Adam.clip_norm)
     losses = [float(r[1]) for r in rows]
     assert losses[-1] < losses[0]
 
