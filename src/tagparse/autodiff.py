@@ -27,7 +27,6 @@ __all__ = [
     "parameter",
     "no_grad",
     "add",
-    "matmul",
     "linear",
     "concat",
     "cols",
@@ -137,18 +136,6 @@ def add(a, b) -> Tensor:
         return _unbroadcast(g, ash), _unbroadcast(g, bsh)
 
     return _node(out, (a, b), bwd)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape}")
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        return g @ bd.T, ad.T @ g
-
-    return _node(ad @ bd, (a, b), bwd)
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -378,20 +365,23 @@ def _attend(h, keys, enc, mask, w_comb, b_comb):
     return probs, hc, np.tanh(hc @ w_comb.T + b_comb)
 
 
-def attention_decoder(inputs, h0, wx, wh, b, keys, enc, w_comb, b_comb,
-                      mask=None) -> Tensor:
+def attention_decoder(inputs, h0, cell, keys, enc, w_comb, b_comb, mask=None) -> Tensor:
     """(T * B, H) input feeds of an attentional LSTM decoder teacher-forced
     through T steps of B rows.
 
     `inputs` are the (T * B, E) token embeddings, step-major (row t * B + r
     is row r's input at step t), and `h0` the (B, H) first hidden state; the
-    cell state and the first feed are zero.  Step t advances the cell
-    (`wx` (4H, E + H), `wh`, `b`) on [input; previous feed], then attends
-    with its new h through `_attend`, whose feed is row block t of the
-    output.  Backpropagation through time stays inside this one node, and
-    each weight gradient is one product over all T * B rows.
+    cell state and the first feed are zero.  `cell` is an LSTM layer with
+    weights `wx` (4H, E + H), `wh` and `b` and a `step(xproj, state)` that
+    advances packed [h | c] states (`nn.LstmCell`).  Step t runs `cell.step`
+    on [input; previous feed], then attends with its new h through
+    `_attend`, whose feed is row block t of the output.  Backpropagation
+    through time stays inside this one node: it recomputes the gate
+    activations of all T * B rows at once from the stored states, and each
+    weight gradient is one product over all T * B rows.
     """
-    parents = tuple(_coerce(p) for p in (inputs, h0, wx, wh, b, keys, enc, w_comb, b_comb))
+    parents = tuple(_coerce(p) for p in (inputs, h0, cell.wx, cell.wh, cell.b, keys, enc,
+                                         w_comb, b_comb))
     x, h0d, wxd, whd, bd, keysd, encd, wcd, bcd = (p.data for p in parents)
     if (x.ndim != 2 or h0d.ndim != 2 or encd.ndim != 2 or h0d.shape[0] < 1
             or x.shape[0] % h0d.shape[0]):
@@ -407,19 +397,23 @@ def attention_decoder(inputs, h0, wx, wh, b, keys, enc, w_comb, b_comb,
     steps = range(0, n, B)
     X = np.empty((n, E + H))             # each step's cell input [token; previous feed]
     X[:, :E] = x
-    acts, probs, hc = np.empty((n, 4 * H)), np.empty((n, N)), np.empty((n, H + C))
-    tcs, h_prev, c_prev, feeds = np.empty((4, n, H))
-    h, c, feed = h0d, np.zeros((B, H)), np.zeros((B, H))
-    for lo in steps:
-        rows = slice(lo, lo + B)
-        X[rows, E:] = feed
-        act, c_next, tc = _lstm_cell(X[rows] @ wxd.T + bd + h @ whd.T, c, H)
-        h_prev[rows], c_prev[rows], acts[rows], tcs[rows] = h, c, act, tc
-        h, c = act[:, 2 * H:3 * H] * tc, c_next
-        probs[rows], hc[rows], feed = _attend(h, keysd, encd, mask, wcd, bcd)
-        feeds[rows] = feed
+    states = np.empty((n + B, 2 * H))    # the first state, then each step's [h | c]
+    states[:B, :H], states[:B, H:] = h0d, 0.0
+    probs, hc, feeds = np.empty((n, N)), np.empty((n, H + C)), np.empty((n, H))
+    state, feed = Tensor(states[:B]), np.zeros((B, H))
+    with no_grad():
+        for lo in steps:
+            rows = slice(lo, lo + B)
+            X[rows, E:] = feed
+            state = cell.step(Tensor(X[rows] @ wxd.T + bd), state)
+            states[lo + B:lo + 2 * B] = state.data
+            probs[rows], hc[rows], feed = _attend(state.data[:, :H], keysd, encd, mask,
+                                                  wcd, bcd)
+            feeds[rows] = feed
+    h_prev, c_prev = states[:n, :H], states[:n, H:]
 
     def bwd(grad):
+        acts, _, tcs = _lstm_cell(X @ wxd.T + bd + h_prev @ whd.T, c_prev, H)
         dpre, dz, dscores = np.empty((n, 4 * H)), np.empty((n, H)), np.empty((n, N))
         dctx = np.empty((n, C))
         dtanh, wx_feed = 1.0 - feeds * feeds, wxd[:, E:]

@@ -9,10 +9,10 @@ Glorot-uniform, drawn in call order, and each 1-d bias zero;
 The recurrences are fused autodiff ops: sequences stacked row-wise run
 as one `lstm_sequence` node giving an (N, hidden) matrix, and
 `LstmCell.step` advances B rows of packed (B, 2 * hidden) [h | c]
-states by one step as one `lstm_step` node, which beam search calls
-once per output step.  Teacher-forced training runs the parser's
-decoder cell inside `autodiff.attention_decoder` instead, over its
-`wx`, `wh` and `b`.
+states by one step as one `lstm_step` node.  The parser's decoder cell
+takes it once per output step in both of its uses: beam search, and the
+forward pass of the teacher-forced `autodiff.attention_decoder` node,
+which records no graph of its own steps.
 """
 
 from __future__ import annotations

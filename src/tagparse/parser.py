@@ -15,9 +15,9 @@ alignments.  Each minibatch runs as one padded pass of the fused
 every step, each attending over its own utterance's encoder states
 through an additive mask, and padded steps carry zero loss.  Decoding
 is beam search over output tokens, with the live hypotheses as the rows
-of one decoder step: the cell through `LstmCell.step`, then the same
-attention and input-feed arithmetic as the training node
-(`autodiff._attend`).  Beam size 1 is greedy decoding.  If no
+of one decoder step.  Both run a step the same way: the cell through
+`LstmCell.step`, then the attention and input feed through
+`autodiff._attend`.  Beam size 1 is greedy decoding.  If no
 hypothesis finishes within the length budget the best partial sequence
 is returned with a truncation flag.
 """
@@ -201,9 +201,8 @@ def _batch_loss(params: ParserParams, utterances, tag_lists, targets) -> Tensor:
     # rows are step-major: row t * B + b holds example b at step t, which reads
     # the token before it
     prev = np.concatenate([np.full(batch, bos), padded[:, :-1].T.ravel()])
-    dec = params.decoder
-    feeds = ad.attention_decoder(ad.embedding(params.sym_emb, prev), h0, dec.wx, dec.wh,
-                                 dec.b, keys, enc, params.w_comb, params.b_comb, mask)
+    feeds = ad.attention_decoder(ad.embedding(params.sym_emb, prev), h0, params.decoder,
+                                 keys, enc, params.w_comb, params.b_comb, mask)
     logits = ad.linear(feeds, params.w_out, params.b_out)
     return ad.cross_entropy(ad.softmax(logits), weights.reshape(steps * batch, -1))
 

@@ -8,7 +8,7 @@ losses as the mean of per-example losses, the teacher-forced decoder as
 one small-op step at a time, and beam search with one decoder step per
 hypothesis.  Tests compare the library against them;
 the package never uses them.  The autodiff ops that only tests need,
-`sigmoid`, `tsum`, `transpose` and `mul`, live here too.
+`sigmoid`, `tsum`, `transpose`, `matmul` and `mul`, live here too.
 """
 
 import contextlib
@@ -53,6 +53,19 @@ def transpose(a):
     return ad._node(a.data.T, (a,), bwd)
 
 
+def matmul(a, b):
+    """Matrix product of 2-d tensors as an autodiff op."""
+    a, b = ad._coerce(a), ad._coerce(b)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ad.ShapeError(f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape}")
+    x, y = a.data, b.data
+
+    def bwd(g):
+        return g @ y.T, x.T @ g
+
+    return ad._node(x @ y, (a, b), bwd)
+
+
 def mul(a, b):
     """Elementwise product; either side may be an array or a python scalar."""
     a, b = ad._coerce(a), ad._coerce(b)
@@ -70,7 +83,7 @@ def mul(a, b):
 
 def affine(x, w, b=None):
     """x @ w.T (+ b) as the three-op chain that `ad.linear` replaced."""
-    out = ad.matmul(x, transpose(w))
+    out = matmul(x, transpose(w))
     return out if b is None else ad.add(out, b)
 
 
@@ -178,8 +191,8 @@ def sequence_loss(params, utterance, tags, target_ids):
                          affine(ad.concat([y, feed], axis=1), params.decoder.wx,
                                 params.decoder.b),
                          h, c)
-        scores = ad.matmul(ad.matmul(h, params.w_att), transpose(enc))
-        context = ad.matmul(ad.softmax(scores), enc)
+        scores = matmul(matmul(h, params.w_att), transpose(enc))
+        context = matmul(ad.softmax(scores), enc)
         feed = ad.tanh(affine(ad.concat([h, context], axis=1), params.w_comb,
                               params.b_comb))
         rows.append(affine(feed, params.w_out, params.b_out))
@@ -222,7 +235,7 @@ def decoder_step(params, prev_ids, state, feed, enc, keys, mask=None):
     scores = ad.linear(h, keys)
     if mask is not None:
         scores = ad.add(scores, mask)
-    context = ad.matmul(ad.softmax(scores), enc)
+    context = matmul(ad.softmax(scores), enc)
     feed = ad.tanh(ad.linear(ad.concat([h, context], axis=1), params.w_comb, params.b_comb))
     return state, feed
 

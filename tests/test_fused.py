@@ -223,6 +223,15 @@ def test_attention_decoder_matches_per_step_oracle(seed, size, hidden_size, use_
         assert rel_err(grads[p], oracle[p]) <= 1e-9, p.name
 
 
+def decoder_args(arrays):
+    """`attention_decoder`'s positional arguments from its inputs and weights by
+    name, the cell an `LstmCell` over the given `wx`, `wh` and `b`."""
+    inputs, hidden = (ad._coerce(arrays[k]).data.shape[1] for k in ("wx", "wh"))
+    cell = LstmCell("dec", inputs, hidden, lambda name, shape: arrays[name.split(".")[1]])
+    return [arrays["inputs"], arrays["h0"], cell,
+            *(arrays[k] for k in ("keys", "enc", "w_comb", "b_comb"))]
+
+
 @given(seed=seeds, B=st.integers(1, 3), T=st.integers(1, 4), H=st.integers(1, 4),
        masked=st.booleans())
 def test_attention_decoder_finite_differences(seed, B, T, H, masked):
@@ -231,7 +240,9 @@ def test_attention_decoder_finite_differences(seed, B, T, H, masked):
     shapes = {"inputs": (T * B, E), "h0": (B, H), "wx": (4 * H, E + H), "wh": (4 * H, H),
               "b": (4 * H,), "keys": (N, H), "enc": (N, C), "w_comb": (H, H + C),
               "b_comb": (H,)}
-    args = [ad.parameter(rng.normal(size=shape), name) for name, shape in shapes.items()]
+    arrays = {name: ad.parameter(rng.normal(size=shape), name)
+              for name, shape in shapes.items()}
+    args = decoder_args(arrays)
     mask = None
     if masked:
         # row r sees encoder rows r .. N - 1, so every row sees at least two
@@ -242,7 +253,8 @@ def test_attention_decoder_finite_differences(seed, B, T, H, masked):
         return mul(ad.cross_entropy(ad.softmax(ad.attention_decoder(*args, mask=mask)),
                                     target), 1.0 / (T * B))
 
-    err = ad.finite_diff_check(loss, args, num_coords=30, rng=np.random.default_rng(seed))
+    err = ad.finite_diff_check(loss, list(arrays.values()), num_coords=30,
+                               rng=np.random.default_rng(seed))
     assert err <= 1e-5
 
 
@@ -251,14 +263,43 @@ def test_attention_decoder_rejects_mismatched_shapes():
     ok = {"inputs": (3 * B, E), "h0": (B, H), "wx": (4 * H, E + H), "wh": (4 * H, H),
           "b": (4 * H,), "keys": (N, H), "enc": (N, C), "w_comb": (H, H + C),
           "b_comb": (H,)}
-    assert ad.attention_decoder(*(np.zeros(s) for s in ok.values())).data.shape == (3 * B, H)
+
+    def zeros(shapes):
+        return decoder_args({name: np.zeros(shape) for name, shape in shapes.items()})
+
+    assert ad.attention_decoder(*zeros(ok)).data.shape == (3 * B, H)
     for name, shape in [("inputs", (5, E)), ("h0", (B,)), ("enc", (N,)), ("wx", (4 * H, E)),
                         ("keys", (N, H + 1)), ("w_comb", (H, H)), ("b_comb", (H + 1,))]:
-        args = {**ok, name: shape}
         with pytest.raises(ad.ShapeError, match="attention_decoder: "):
-            ad.attention_decoder(*(np.zeros(s) for s in args.values()))
+            ad.attention_decoder(*zeros({**ok, name: shape}))
     with pytest.raises(ad.ShapeError, match="attention_decoder: "):
-        ad.attention_decoder(*(np.zeros(s) for s in ok.values()), mask=np.zeros((B, N - 1)))
+        ad.attention_decoder(*zeros(ok), mask=np.zeros((B, N - 1)))
+
+
+@given(seed=seeds, size=st.integers(1, 4), hidden_size=st.integers(2, 6),
+       use_tags=st.booleans())
+def test_attention_decoder_steps_the_cell_once_per_target_step(seed, size, hidden_size,
+                                                               use_tags):
+    # the node's forward pass reaches a swapped decoder cell; its backward
+    # recomputes the fused cell's activations, which agree with the swap
+    params = tiny_parser(use_tags=use_tags, hidden=hidden_size, seed=seed)
+    batch = random_batch(params, np.random.default_rng(seed), size)
+    fused = _batch_loss(params, *batch)
+    with per_gate_cells([params.decoder]):
+        gate_cell_step, calls = params.decoder.step, []
+
+        def counted(xproj, state):
+            calls.append(xproj.data.shape[0])
+            return gate_cell_step(xproj, state)
+
+        params.decoder.step = counted
+        swapped = _batch_loss(params, *batch)
+        swapped_grads = ad.backward(swapped, params.parameters())
+    assert calls == [size] * max(len(t) for t in batch[2])
+    assert rel_err(swapped.data, fused.data) <= 1e-12
+    grads = ad.backward(fused, params.parameters())
+    for p in params.parameters():
+        assert rel_err(swapped_grads[p], grads[p]) <= 1e-9, p.name
 
 
 @given(seed=seeds, hidden_size=st.integers(2, 8), use_tags=st.booleans(),
