@@ -32,7 +32,6 @@ __all__ = [
     "cols",
     "tanh",
     "softmax",
-    "lstm_step",
     "lstm_sequence",
     "attention_decoder",
     "embedding",
@@ -272,34 +271,6 @@ def _lstm_cell_grads(gate_d, cell_d, f, dh, dc, whd):
     return dpre, dpre @ whd, dc * f
 
 
-def lstm_step(xproj, state, wh) -> Tensor:
-    """Advance B rows of packed LSTM states [h | c] by one step.
-
-    `xproj` is the (B, 4H) input projection x @ Wx.T + b, gates packed as
-    [input; forget; output; candidate]; `state` is (B, 2H) and `wh` the
-    (4H, H) recurrent weights.  Returns the next (B, 2H) state:
-
-        i, f, o = sigmoid(.), g = tanh(.)   of xproj + h @ Wh.T
-        c' = f * c + i * g,  h' = o * tanh(c')
-    """
-    xproj, state, wh = _coerce(xproj), _coerce(state), _coerce(wh)
-    H = _lstm_hidden("lstm_step", xproj, wh)
-    if state.data.shape != (xproj.data.shape[0], 2 * H):
-        raise ShapeError(f"lstm_step: state {state.data.shape} for input projection "
-                         f"{xproj.data.shape}, expected {(xproj.data.shape[0], 2 * H)}")
-    whd = wh.data
-    h, c = state.data[:, :H], state.data[:, H:]
-    act, c_next, tc = _lstm_cell(xproj.data + h @ whd.T, c, H)
-
-    def bwd(grad):
-        dpre, dh, dc = _lstm_cell_grads(*_lstm_cell_derivatives(act, c, tc), act[:, H:2 * H],
-                                        grad[:, :H], grad[:, H:], whd)
-        return dpre, np.concatenate([dh, dc], axis=1), dpre.T @ h
-
-    out = np.concatenate([act[:, 2 * H:3 * H] * tc, c_next], axis=1)
-    return _node(out, (xproj, state, wh), bwd)
-
-
 def _packing(lengths, n: int, reverse: bool):
     """Row order for stepping through stacked sequences: `perm`, its inverse and
     the (lo, hi) range of rows x[perm] that each step advances.  Sequences rank
@@ -321,7 +292,7 @@ def lstm_sequence(xproj, wh, lengths, reverse: bool = False) -> Tensor:
     """(N, H) hidden states, in input order, of an LSTM run from the zero state over
     (N, 4H) input projections that stack sequences of `lengths` rows each; with
     `reverse` each runs from its last row.  The running
-    sequences advance as the rows of one `lstm_step` update per step, and
+    sequences advance as the rows of one cell update per step, and
     backpropagation through time stays inside this one node."""
     xproj, wh = _coerce(xproj), _coerce(wh)
     H = _lstm_hidden("lstm_sequence", xproj, wh)
@@ -372,9 +343,9 @@ def attention_decoder(inputs, h0, cell, keys, enc, w_comb, b_comb, mask=None) ->
     `inputs` are the (T * B, E) token embeddings, step-major (row t * B + r
     is row r's input at step t), and `h0` the (B, H) first hidden state; the
     cell state and the first feed are zero.  `cell` is an LSTM layer with
-    weights `wx` (4H, E + H), `wh` and `b` and a `step(xproj, state)` that
-    advances packed [h | c] states (`nn.LstmCell`).  Step t runs `cell.step`
-    on [input; previous feed], then attends with its new h through
+    weights `wx` (4H, E + H), `wh` and `b` and a `step(x, state)` that
+    advances arrays of packed [h | c] states (`nn.LstmCell`).  Step t runs
+    `cell.step` on [input; previous feed], then attends with its new h through
     `_attend`, whose feed is row block t of the output.  Backpropagation
     through time stays inside this one node: it recomputes the gate
     activations of all T * B rows at once from the stored states, and each
@@ -400,16 +371,13 @@ def attention_decoder(inputs, h0, cell, keys, enc, w_comb, b_comb, mask=None) ->
     states = np.empty((n + B, 2 * H))    # the first state, then each step's [h | c]
     states[:B, :H], states[:B, H:] = h0d, 0.0
     probs, hc, feeds = np.empty((n, N)), np.empty((n, H + C)), np.empty((n, H))
-    state, feed = Tensor(states[:B]), np.zeros((B, H))
-    with no_grad():
-        for lo in steps:
-            rows = slice(lo, lo + B)
-            X[rows, E:] = feed
-            state = cell.step(Tensor(X[rows] @ wxd.T + bd), state)
-            states[lo + B:lo + 2 * B] = state.data
-            probs[rows], hc[rows], feed = _attend(state.data[:, :H], keysd, encd, mask,
-                                                  wcd, bcd)
-            feeds[rows] = feed
+    feed = np.zeros((B, H))
+    for lo in steps:
+        rows, new = slice(lo, lo + B), slice(lo + B, lo + 2 * B)
+        X[rows, E:] = feed
+        states[new] = cell.step(X[rows], states[rows])
+        probs[rows], hc[rows], feed = _attend(states[new, :H], keysd, encd, mask, wcd, bcd)
+        feeds[rows] = feed
     h_prev, c_prev = states[:n, :H], states[:n, H:]
 
     def bwd(grad):

@@ -26,13 +26,13 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .autodiff import Tensor, parameter
 
-__all__ = ["FORMAT_VERSION", "CheckpointError", "save_checkpoint", "load_checkpoint",
+__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "meta_vocab",
            "config_from_fields", "stored"]
 
 FORMAT_VERSION = 2
@@ -138,6 +138,23 @@ def _check_header(doc, expect_kind, meta_keys) -> Tuple[Dict[str, tuple], dict]:
             raise CheckpointError(f"parameter '{name}': malformed 'shape'")
         shapes[name] = tuple(shape)
     return shapes, meta
+
+
+def meta_vocab(meta: dict, key: str, lead: Sequence[str],
+               holds: Sequence[str] = ()) -> List[str]:
+    """The tokens, in id order, of the vocabulary stored as `meta[key]`: a list of
+    distinct strings that starts with the reserved entries `lead` and holds each
+    of `holds`.  Any other value raises CheckpointError."""
+    tokens = meta[key]
+    if (not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens)
+            or len(set(tokens)) != len(tokens)):
+        raise CheckpointError(f"checkpoint meta '{key}' is not a list of distinct strings")
+    if tokens[:len(lead)] != list(lead):
+        raise CheckpointError(f"checkpoint meta '{key}' does not start with {list(lead)}")
+    for token in holds:
+        if token not in tokens:
+            raise CheckpointError(f"checkpoint meta '{key}' lacks {token!r}")
+    return tokens
 
 
 # each annotation's JSON values as exact Python types (true is a bool, not an int)

@@ -24,7 +24,7 @@ from .corpus import (CorpusError, CorpusExample, EntitySpan, FORMALISMS,
                      template_id_for, tokenize_meaning, tokenize_utterance)
 from .symbols import entity_link, extract_symbols
 
-__all__ = ["example_from_record", "load_corpus", "save_corpus", "corpus_to_records"]
+__all__ = ["example_from_record", "load_corpus", "save_corpus"]
 
 
 def _is_index(value) -> bool:

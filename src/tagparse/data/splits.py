@@ -16,7 +16,7 @@ import numpy as np
 
 from ..checkpoint import config_from_fields
 
-__all__ = ["SplitError", "SplitSpec", "make_split", "SECTION_NAMES"]
+__all__ = ["SplitError", "SplitSpec", "make_split"]
 
 SECTION_NAMES = ("train", "dev", "test")
 _MODES = ("question", "query")

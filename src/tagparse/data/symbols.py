@@ -24,9 +24,6 @@ from .corpus import (CorpusExample, MeaningRepresentation, SymbolSet,
 
 __all__ = [
     "MeaningParseError",
-    "LAMBDA_OPERATORS",
-    "SQL_KEYWORDS",
-    "SQL_AGGREGATES",
     "extract_symbols",
     "entity_link",
 ]

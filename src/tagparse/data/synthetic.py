@@ -37,8 +37,7 @@ import numpy as np
 from .corpus import FORMALISMS, CorpusExample
 from .loader import example_from_record
 
-__all__ = ["SyntheticConfigError", "gen_synthetic", "DEFAULT_GRAMMARS",
-           "default_grammar"]
+__all__ = ["SyntheticConfigError", "gen_synthetic", "default_grammar"]
 
 
 class SyntheticConfigError(ValueError):

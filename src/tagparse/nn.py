@@ -6,13 +6,13 @@ blocks of the hidden size.  Every parameter comes from a source
 Glorot-uniform, drawn in call order, and each 1-d bias zero;
 `checkpoint.stored` hands a loaded model its checkpoint's arrays.
 
-The recurrences are fused autodiff ops: sequences stacked row-wise run
-as one `lstm_sequence` node giving an (N, hidden) matrix, and
-`LstmCell.step` advances B rows of packed (B, 2 * hidden) [h | c]
-states by one step as one `lstm_step` node.  The parser's decoder cell
-takes it once per output step in both of its uses: beam search, and the
-forward pass of the teacher-forced `autodiff.attention_decoder` node,
-which records no graph of its own steps.
+Sequences stacked row-wise run as one fused `lstm_sequence` autodiff
+node giving an (N, hidden) matrix.  `LstmCell.step` advances B rows of
+packed (B, 2 * hidden) [h | c] state arrays by one step and records no
+graph.  The parser's decoder cell takes it once per output step in both
+of its uses: beam search, and the forward pass of the teacher-forced
+`autodiff.attention_decoder` node, whose own backward carries the
+gradient through time.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ __all__ = ["Vocab", "LstmCell", "BiLstmEncoder", "drawn"]
 # a parameter source: make(name, shape) -> the named parameter
 Make = Callable[[str, tuple], Tensor]
 
+UNK = "<unk>"                            # every Vocab's unknown token, id 0
+
 
 def drawn(rng: np.random.Generator) -> Make:
     """The parameter source of a new model (see the module docstring)."""
@@ -38,13 +40,12 @@ def drawn(rng: np.random.Generator) -> Make:
 
 
 class Vocab:
-    """Bidirectional token/id map with a designated unknown id."""
+    """Bidirectional token/id map; unseen tokens map to UNK's id, 0."""
 
-    def __init__(self, tokens: Iterable[str], unk: str = "<unk>"):
-        self.unk = unk
+    def __init__(self, tokens: Iterable[str]):
         self.id2tok: List[str] = []
         self.tok2id = {}
-        for tok in [unk, *tokens]:
+        for tok in [UNK, *tokens]:
             if tok not in self.tok2id:
                 self.tok2id[tok] = len(self.id2tok)
                 self.id2tok.append(tok)
@@ -53,8 +54,7 @@ class Vocab:
         return len(self.id2tok)
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
-        unk_id = self.tok2id[self.unk]
-        return np.array([self.tok2id.get(t, unk_id) for t in tokens], dtype=np.intp)
+        return np.array([self.tok2id.get(t, 0) for t in tokens], dtype=np.intp)
 
     def decode(self, ids: Sequence[int]) -> List[str]:
         return [self.id2tok[int(i)] for i in ids]
@@ -73,17 +73,20 @@ class LstmCell:
     def parameters(self) -> List[Tensor]:
         return [self.wx, self.wh, self.b]
 
-    def project_inputs(self, xs: Tensor) -> Tensor:
-        """Precompute xs @ Wx.T + b for a whole (n, I) sequence at once."""
-        return ad.linear(xs, self.wx, self.b)
+    def step(self, x: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """The next (B, 2H) [h | c] states from (B, I) inputs and (B, 2H) states:
 
-    def step(self, xproj: Tensor, state: Tensor) -> Tensor:
-        """Advance (B, 2H) [h | c] states from a precomputed (B, 4H) input projection."""
-        return ad.lstm_step(xproj, state, self.wh)
+            i, f, o = sigmoid(.), g = tanh(.)   of x @ Wx.T + b + h @ Wh.T
+            c' = f * c + i * g,  h' = o * tanh(c')
+        """
+        H = self.hidden_size
+        act, c_next, tc = ad._lstm_cell(x @ self.wx.data.T + self.b.data
+                                        + state[:, :H] @ self.wh.data.T, state[:, H:], H)
+        return np.concatenate([act[:, 2 * H:3 * H] * tc, c_next], axis=1)
 
     def run(self, xs: Tensor, lengths, reverse: bool = False) -> Tensor:
         """(N, H) states of the sequences stacked in (N, I) rows; see lstm_sequence."""
-        return ad.lstm_sequence(self.project_inputs(xs), self.wh, lengths, reverse)
+        return ad.lstm_sequence(ad.linear(xs, self.wx, self.b), self.wh, lengths, reverse)
 
 
 class BiLstmEncoder:

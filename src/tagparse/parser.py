@@ -15,8 +15,9 @@ alignments.  Each minibatch runs as one padded pass of the fused
 every step, each attending over its own utterance's encoder states
 through an additive mask, and padded steps carry zero loss.  Decoding
 is beam search over output tokens, with the live hypotheses as the rows
-of one decoder step.  Both run a step the same way: the cell through
-`LstmCell.step`, then the attention and input feed through
+of one decoder step; only the encoder pass that starts it builds tensors,
+and every step is plain array code.  Both run a step the same way: the
+cell through `LstmCell.step`, then the attention and input feed through
 `autodiff._attend`.  Beam size 1 is greedy decoding.  If no
 hypothesis finishes within the length budget the best partial sequence
 is returned with a truncation flag.
@@ -32,9 +33,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import (CheckpointError, config_from_fields, load_checkpoint,
-                         save_checkpoint, stored)
-from .data import deanonymize_tokens
-from .nn import BiLstmEncoder, LstmCell, Vocab, drawn
+                         meta_vocab, save_checkpoint, stored)
+from .data import FORMALISMS, deanonymize_tokens
+from .nn import UNK, BiLstmEncoder, LstmCell, Vocab, drawn
 from .optim import Adam
 from .tagger import (NULL_TAG, UNK_TAG, TaggerParams, TagVocabulary, _tokens,
                      predict_tags)
@@ -289,33 +290,32 @@ def decode(params: ParserParams, utterance, tags=None,
     the earlier hypothesis, then to the lower token id.
     """
     eos, H, dec = params.out_vocab.tok2id[EOS], params.config.hidden_size, params.decoder
-    w_comb, b_comb = params.w_comb.data, params.b_comb.data
+    sym_emb, w_comb, b_comb = params.sym_emb.data, params.w_comb.data, params.b_comb.data
     w_out, b_out = params.w_out.data, params.b_out.data
     with ad.no_grad():
         enc, keys, _, h0 = _start(params, [utterance], [tags])
-        state, feed = ad.concat([h0, np.zeros((1, H))], axis=1), np.zeros((1, H))
-        prev, seqs, scores = [params.out_vocab.tok2id[BOS]], [()], np.zeros(1)
-        completed = []                   # (score, token ids without the end marker)
-        for _ in range(config.max_length):
-            x = np.concatenate([params.sym_emb.data[prev], feed], axis=1)
-            state = dec.step(dec.project_inputs(x), state)
-            _, _, feed = ad._attend(state.data[:, :H], keys.data, enc.data, None,
-                                    w_comb, b_comb)
-            logp = np.log(np.maximum(ad._softmax(feed @ w_out.T + b_out), 1e-300))
-            totals = (scores[:, None] + logp).ravel()
-            best = np.argsort(-totals, kind="stable")[:config.beam_size]
-            rows, prev = np.divmod(best, logp.shape[1])
-            ended = prev == eos
-            completed += [(totals[k], seqs[r]) for k, r in zip(best[ended], rows[ended])]
-            if ended.all():
-                break
-            rows, prev, scores = rows[~ended], prev[~ended], totals[best[~ended]]
-            seqs = [seqs[r] + (int(t),) for r, t in zip(rows, prev)]
-            state, feed = ad.tensor(state.data[rows]), feed[rows]
-            # token log-probs are <= 0, so no live hypothesis can
-            # overtake the best finished one once it falls behind
-            if completed and max(c[0] for c in completed) >= scores.max():
-                break
+    enc, keys = enc.data, keys.data
+    state, feed = np.concatenate([h0.data, np.zeros((1, H))], axis=1), np.zeros((1, H))
+    prev, seqs, scores = [params.out_vocab.tok2id[BOS]], [()], np.zeros(1)
+    completed = []                       # (score, token ids without the end marker)
+    for _ in range(config.max_length):
+        state = dec.step(np.concatenate([sym_emb[prev], feed], axis=1), state)
+        _, _, feed = ad._attend(state[:, :H], keys, enc, None, w_comb, b_comb)
+        logp = np.log(np.maximum(ad._softmax(feed @ w_out.T + b_out), 1e-300))
+        totals = (scores[:, None] + logp).ravel()
+        best = np.argsort(-totals, kind="stable")[:config.beam_size]
+        rows, prev = np.divmod(best, logp.shape[1])
+        ended = prev == eos
+        completed += [(totals[k], seqs[r]) for k, r in zip(best[ended], rows[ended])]
+        if ended.all():
+            break
+        rows, prev, scores = rows[~ended], prev[~ended], totals[best[~ended]]
+        seqs = [seqs[r] + (int(t),) for r, t in zip(rows, prev)]
+        state, feed = state[rows], feed[rows]
+        # token log-probs are <= 0, so no live hypothesis can
+        # overtake the best finished one once it falls behind
+        if completed and max(c[0] for c in completed) >= scores.max():
+            break
 
     truncated = not completed
     score, ids = (max(completed, key=lambda c: c[0]) if completed
@@ -371,9 +371,11 @@ def save_parser(path, params: ParserParams) -> None:
 def load_parser(path) -> ParserParams:
     values, meta = load_checkpoint(path, "parser", ("word_vocab", "out_vocab",
                                                     "tag_vocab", "formalism", "config"))
-    word_list, out_list = meta["word_vocab"], meta["out_vocab"]
-    vocabs = (Vocab(word_list[1:], unk=word_list[0]), Vocab(out_list[1:], unk=out_list[0]),
-              TagVocabulary(meta["tag_vocab"][2:]))
+    vocabs = (Vocab(meta_vocab(meta, "word_vocab", [UNK])[1:]),
+              Vocab(meta_vocab(meta, "out_vocab", [UNK], holds=[BOS, EOS])[1:]),
+              TagVocabulary(meta_vocab(meta, "tag_vocab", [NULL_TAG, UNK_TAG])[2:]))
+    if meta["formalism"] not in FORMALISMS:
+        raise CheckpointError(f"checkpoint meta 'formalism' is not one of {list(FORMALISMS)}")
     config = config_from_fields(ParserConfig, meta["config"], "checkpoint config",
                                 CheckpointError)
     with stored(values) as make:

@@ -22,8 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import (CheckpointError, config_from_fields, load_checkpoint,
-                         save_checkpoint, stored)
-from .nn import BiLstmEncoder, Vocab, drawn
+                         meta_vocab, save_checkpoint, stored)
+from .nn import UNK, BiLstmEncoder, Vocab, drawn
 
 __all__ = ["NULL_TAG", "UNK_TAG", "TagVocabulary", "TaggerConfig",
            "TaggerParams", "init_tagger", "tag_distribution",
@@ -152,9 +152,8 @@ def save_tagger(path, params: TaggerParams) -> None:
 
 def load_tagger(path) -> TaggerParams:
     values, meta = load_checkpoint(path, "tagger", ("word_vocab", "tag_vocab", "config"))
-    id2tok = meta["word_vocab"]
-    word_vocab = Vocab(id2tok[1:], unk=id2tok[0])
-    tag_vocab = TagVocabulary(meta["tag_vocab"][2:])
+    word_vocab = Vocab(meta_vocab(meta, "word_vocab", [UNK])[1:])
+    tag_vocab = TagVocabulary(meta_vocab(meta, "tag_vocab", [NULL_TAG, UNK_TAG])[2:])
     config = config_from_fields(TaggerConfig, meta["config"], "checkpoint config",
                                 CheckpointError)
     with stored(values) as make:

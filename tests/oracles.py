@@ -143,14 +143,15 @@ def gate_tag_distribution(params, words):
 
 @contextlib.contextmanager
 def per_gate_cells(cells):
-    """Swap each cell's fused `run` and `step` for the per-gate chain."""
+    """Swap each cell's fused `run` and array-level `step` for the per-gate chain."""
 
     def patch(cell):
         H = cell.hidden_size
 
-        def step(xproj, state):
-            h, c = gate_step(cell, xproj, ad.cols(state, 0, H), ad.cols(state, H, 2 * H))
-            return ad.concat([h, c], axis=1)
+        def step(x, state):
+            with ad.no_grad():
+                h, c = gate_step(cell, affine(x, cell.wx, cell.b), state[:, :H], state[:, H:])
+            return np.concatenate([h.data, c.data], axis=1)
 
         def run(xs, lengths, reverse=False):
             blocks = row_blocks(xs, lengths)
@@ -222,22 +223,23 @@ def start(params, utterances, tag_lists):
 
 
 def decoder_step(params, prev_ids, state, feed, enc, keys, mask=None):
-    """One decoder step for B rows out of 12 graph nodes: previous token ids,
-    [h | c] state and feed in, next state and feed out.
+    """One decoder step for B rows out of small graph nodes, the cell a
+    `gate_step` chain: previous token ids, [h | c] state and feed in, next
+    state and feed out.
 
     Each row attends over the stacked encoder states `enc` through their
     `keys`; the additive `mask` limits it to its own utterance's rows.
     """
+    dec, H = params.decoder, params.config.hidden_size
     y = ad.embedding(params.sym_emb, np.asarray(prev_ids, dtype=np.intp))
-    state = params.decoder.step(
-        params.decoder.project_inputs(ad.concat([y, feed], axis=1)), state)
-    h = ad.cols(state, 0, params.config.hidden_size)
+    h, c = gate_step(dec, affine(ad.concat([y, feed], axis=1), dec.wx, dec.b),
+                     ad.cols(state, 0, H), ad.cols(state, H, 2 * H))
     scores = ad.linear(h, keys)
     if mask is not None:
         scores = ad.add(scores, mask)
     context = matmul(ad.softmax(scores), enc)
     feed = ad.tanh(ad.linear(ad.concat([h, context], axis=1), params.w_comb, params.b_comb))
-    return state, feed
+    return ad.concat([h, c], axis=1), feed
 
 
 def step_loss(params, utterances, tag_lists, targets):

@@ -375,3 +375,56 @@ def test_config_number_field_takes_an_integer():
     config = config_from_fields(ParserConfig, {"learning_rate": 1, "use_tags": False},
                                 "config")
     assert config.learning_rate == 1 and config.use_tags is False
+
+
+# any JSON value, NaN and the infinities included
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12)
+
+
+def meta_values(meta, key):
+    """Values for meta `key`: any JSON, and near misses of the saved meta's own
+    values: token lists over every vocabulary's and reserved token, the saved
+    list permuted, the config with some fields replaced, and formalism names."""
+    tokens = {"<unk>", "<s>", "</s>", "<null>", "<unk-symbol>"}
+    for vocab in ("word_vocab", "out_vocab", "tag_vocab"):
+        tokens.update(meta.get(vocab, []))
+    tokens = sorted(tokens)
+    near = [st.lists(st.sampled_from(tokens), max_size=12),
+            st.sampled_from(["lambda", "sql", "prolog"]),
+            st.dictionaries(st.sampled_from(sorted(meta["config"])),
+                            json_values | st.integers(-1, 40), max_size=3)
+            .map(lambda fields: {**meta["config"], **fields})]
+    if isinstance(meta.get(key), list):
+        near.append(st.permutations(meta[key]))
+    return st.one_of(json_values, *near)
+
+
+@pytest.mark.parametrize("kind", ["tagger", "parser"])
+@given(data=st.data())
+def test_any_meta_value_loads_or_raises_a_checkpoint_error(tiny_models, kind, data):
+    path, load, _ = tiny_models[kind]
+    key = data.draw(st.sampled_from(["word_vocab", "out_vocab", "tag_vocab", "formalism",
+                                     "config"]))
+    meta = {}
+
+    def edit(doc):
+        doc["meta"][key] = data.draw(meta_values(doc["meta"], key))
+        meta.update(doc["meta"])
+
+    with tempfile.TemporaryDirectory() as tmp:
+        edited = Path(tmp) / "edited.ckpt"
+        edit_checkpoint(path, edit_header(edit), out=edited)
+        try:
+            model = load(edited)
+        except CheckpointError as e:
+            assert "\n" not in str(e)
+            return
+    assert model.word_vocab.id2tok == meta["word_vocab"]
+    assert model.tag_vocab.id2sym == meta["tag_vocab"]
+    if kind == "parser":
+        assert model.out_vocab.id2tok == meta["out_vocab"]
+        assert model.formalism == meta["formalism"]

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from tagparse.cli import main
-from tests.test_checkpoint import edit_checkpoint
+from tests.test_checkpoint import edit_checkpoint, edit_header
 from tests.test_synthetic import cartesian_grammar
 
 LAMBDA_MEANING = ("( lambda $0 e ( and ( oneway $0 ) ( from $0 columbus:ci ) "
@@ -319,6 +319,40 @@ def test_parse_with_malformed_checkpoint_is_one_line_error(case, pipeline, tmp_p
     code, _, err = run_cli(capsys, "parse",
                            "--corpus", str(pipeline["corpus"]),
                            "--parser", str(broken))
+    assert code == 1
+    assert err.splitlines() == [f"error: {message}"]
+
+
+# (checkpoint, edit of its meta in place, error); the command loading it is
+# `tag` for the tagger and `parse` for the baseline parser
+BAD_META = {
+    "tagger word_vocab empty": (
+        "tagger", lambda m: m.update(word_vocab=[]),
+        "checkpoint meta 'word_vocab' does not start with ['<unk>']"),
+    "parser word_vocab a number": (
+        "baseline", lambda m: m.update(word_vocab=3),
+        "checkpoint meta 'word_vocab' is not a list of distinct strings"),
+    "parser tag_vocab a number": (
+        "baseline", lambda m: m.update(tag_vocab=3),
+        "checkpoint meta 'tag_vocab' is not a list of distinct strings"),
+    "parser out_vocab without end marker": (
+        "baseline",
+        lambda m: m.update(out_vocab=["</end>" if t == "</s>" else t for t in m["out_vocab"]]),
+        "checkpoint meta 'out_vocab' lacks '</s>'"),
+    "parser formalism unknown": (
+        "baseline", lambda m: m.update(formalism="prolog"),
+        "checkpoint meta 'formalism' is not one of ['lambda', 'sql']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_META))
+def test_checkpoint_with_bad_meta_is_one_line_error(case, pipeline, tmp_path, capsys):
+    model, edit, message = BAD_META[case]
+    broken = tmp_path / "broken.json"
+    edit_checkpoint(pipeline[model], edit_header(lambda doc: edit(doc["meta"])), out=broken)
+    command, flag = ("tag", "--checkpoint") if model == "tagger" else ("parse", "--parser")
+    code, _, err = run_cli(capsys, command, "--corpus", str(pipeline["corpus"]),
+                           flag, str(broken))
     assert code == 1
     assert err.splitlines() == [f"error: {message}"]
 

@@ -15,7 +15,7 @@ from tagparse.parser import (BOS, EOS, DecodeConfig, ParserConfig, _batch_loss,
 from tagparse.tagger import (NULL_TAG, UNK_TAG, TaggerConfig, TagVocabulary,
                              init_tagger, predict_tags, tag_distribution)
 
-from tests.oracles import (beam_decode, decoder_step, em_mean_loss, gate_run,
+from tests.oracles import (affine, beam_decode, decoder_step, em_mean_loss, gate_run,
                            gate_step, gate_tag_distribution, mean_loss, mul,
                            output_probs, parser_cells, per_gate_cells, row_blocks,
                            start, step_loss, tsum)
@@ -107,18 +107,11 @@ def test_lstm_sequence_over_no_rows_is_empty():
 @given(seed=seeds, H=hidden, B=st.integers(1, 5))
 def test_lstm_step_matches_per_gate_chain(seed, H, B):
     rng, cell, x = cell_and_inputs(seed, H, B)
-    state = ad.parameter(rng.normal(size=(B, 2 * H)), "state")
-    weights = rng.normal(size=(B, 2 * H))
-    xproj = cell.project_inputs(x)
-    fused = cell.step(xproj, state)
-    h, c = gate_step(cell, xproj, ad.cols(state, 0, H), ad.cols(state, H, 2 * H))
-    oracle = ad.concat([h, c], axis=1)
-    assert np.abs(fused.data - oracle.data).max() <= 1e-12
-    params = [x, state, *cell.parameters()]
-    got = ad.backward(weighted_sum(fused, weights), params)
-    want = ad.backward(weighted_sum(oracle, weights), params)
-    for p in params:
-        assert rel_err(got[p], want[p]) <= 1e-9, p.name
+    state = rng.normal(size=(B, 2 * H))
+    h, c = gate_step(cell, affine(x, cell.wx, cell.b), state[:, :H], state[:, H:])
+    stepped = cell.step(x.data, state)
+    assert stepped.shape == (B, 2 * H)
+    assert np.abs(stepped - np.concatenate([h.data, c.data], axis=1)).max() <= 1e-12
 
 
 @given(seed=seeds, H=hidden, n=st.integers(1, 5), reverse=st.booleans())
@@ -130,21 +123,6 @@ def test_lstm_sequence_finite_differences(seed, H, n, reverse):
         return ad.cross_entropy(ad.softmax(cell.run(x, [n], reverse)), target)
 
     err = ad.finite_diff_check(loss, [x, *cell.parameters()], num_coords=30,
-                               rng=np.random.default_rng(seed))
-    assert err <= 1e-5
-
-
-@given(seed=seeds, H=hidden, B=st.integers(1, 4))
-def test_lstm_step_finite_differences(seed, H, B):
-    rng, cell, x = cell_and_inputs(seed, H, B)
-    state = ad.parameter(rng.normal(size=(B, 2 * H)), "state")
-    target = rng.uniform(0.1, 1.0, size=(B, 2 * H))
-
-    def loss():
-        return ad.cross_entropy(ad.softmax(cell.step(cell.project_inputs(x), state)),
-                                target)
-
-    err = ad.finite_diff_check(loss, [x, state, *cell.parameters()], num_coords=30,
                                rng=np.random.default_rng(seed))
     assert err <= 1e-5
 
@@ -225,9 +203,10 @@ def test_attention_decoder_matches_per_step_oracle(seed, size, hidden_size, use_
 
 def decoder_args(arrays):
     """`attention_decoder`'s positional arguments from its inputs and weights by
-    name, the cell an `LstmCell` over the given `wx`, `wh` and `b`."""
+    name, the cell an `LstmCell` over the given `wx`, `wh` and `b` as tensors."""
     inputs, hidden = (ad._coerce(arrays[k]).data.shape[1] for k in ("wx", "wh"))
-    cell = LstmCell("dec", inputs, hidden, lambda name, shape: arrays[name.split(".")[1]])
+    cell = LstmCell("dec", inputs, hidden,
+                    lambda name, shape: ad._coerce(arrays[name.split(".")[1]]))
     return [arrays["inputs"], arrays["h0"], cell,
             *(arrays[k] for k in ("keys", "enc", "w_comb", "b_comb"))]
 
@@ -288,9 +267,9 @@ def test_attention_decoder_steps_the_cell_once_per_target_step(seed, size, hidde
     with per_gate_cells([params.decoder]):
         gate_cell_step, calls = params.decoder.step, []
 
-        def counted(xproj, state):
-            calls.append(xproj.data.shape[0])
-            return gate_cell_step(xproj, state)
+        def counted(x, state):
+            calls.append(x.shape[0])
+            return gate_cell_step(x, state)
 
         params.decoder.step = counted
         swapped = _batch_loss(params, *batch)
@@ -315,9 +294,9 @@ def test_decode_tokens_match_per_gate_oracle(seed, hidden_size, use_tags, n):
         with per_gate_cells(parser_cells(params)):
             gate_cell_step, calls = params.decoder.step, []
 
-            def counted(xproj, state):
+            def counted(x, state):
                 calls.append(1)
-                return gate_cell_step(xproj, state)
+                return gate_cell_step(x, state)
 
             params.decoder.step = counted
             oracle = decode(params, utterance, tags, config)
@@ -426,8 +405,6 @@ def test_lstm_ops_reject_mismatched_shapes():
     wh = ad.tensor(np.zeros((8, 2)))
     with pytest.raises(ad.ShapeError, match="lstm_sequence: input projection"):
         ad.lstm_sequence(np.zeros((3, 6)), wh, [3])
-    with pytest.raises(ad.ShapeError, match="lstm_step: state"):
-        ad.lstm_step(np.zeros((2, 8)), np.zeros((3, 4)), wh)
 
 
 TAGGER_WORDS = "frame0 word1 trips to city2 from".split()
