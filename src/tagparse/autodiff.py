@@ -32,7 +32,7 @@ __all__ = [
     "cols",
     "tanh",
     "softmax",
-    "lstm_sequence",
+    "bilstm_sequence",
     "attention_decoder",
     "embedding",
     "cross_entropy",
@@ -185,12 +185,6 @@ def cols(a, start: int, stop: int) -> Tensor:
     return _node(a.data[:, start:stop].copy(), (a,), bwd)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Branch on sign so exp never overflows.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def tanh(a) -> Tensor:
     a = _coerce(a)
     out = np.tanh(a.data)
@@ -220,24 +214,20 @@ def softmax(a) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def _lstm_hidden(op: str, xproj: Tensor, wh: Tensor) -> int:
-    """Hidden size H implied by a (., 4H) input projection and (4H, H) weights."""
-    wsh, xsh = wh.data.shape, xproj.data.shape
-    if len(wsh) != 2 or wsh[0] != 4 * wsh[1] or len(xsh) != 2 or xsh[1] != wsh[0]:
-        raise ShapeError(f"{op}: input projection {xsh} does not fit recurrent weights {wsh}")
-    return wsh[1]
-
-
 def _lstm_cell(pre: np.ndarray, c: np.ndarray, H: int):
-    """One step from (B, 4H) pre-activations packed [input; forget; output; candidate].
+    """One step from (..., 4H) pre-activations packed [input; forget; output;
+    candidate], activated in place: sigmoid(x) = (1 + tanh(x / 2)) / 2 lets one
+    tanh activate all four gates.
 
-    Returns the gate values, the next cell state c' and tanh(c'); the
-    next hidden state is the output gate times tanh(c').
+    Returns the gate values (`pre` itself), the next cell state c' and
+    tanh(c'); the next hidden state is the output gate times tanh(c').
     """
-    act = np.empty_like(pre)
-    act[:, :3 * H] = _sigmoid(pre[:, :3 * H])
-    act[:, 3 * H:] = np.tanh(pre[:, 3 * H:])
-    c_next = act[:, H:2 * H] * c + act[:, :H] * act[:, 3 * H:]
+    sig = pre[..., :3 * H]
+    sig *= 0.5
+    act = np.tanh(pre, out=pre)
+    sig *= 0.5
+    sig += 0.5
+    c_next = act[..., H:2 * H] * c + act[..., :H] * act[..., 3 * H:]
     return act, c_next, np.tanh(c_next)
 
 
@@ -246,80 +236,120 @@ def _lstm_cell_derivatives(act, c_prev, tc):
     `_lstm_cell_grads`.
 
     Computed for all of a backward pass's steps at once, before its time
-    loop.  Returns the (n, 4H) factors from the gradient at c' (at h' for
-    the output gate) to each gate's pre-activation, and the (n, H) factor
+    loop.  Returns the (..., 4H) factors from the gradient at c' (at h' for
+    the output gate) to each gate's pre-activation, and the (..., H) factor
     o * (1 - tanh(c')^2) from h' to c'.
     """
-    H = tc.shape[1]
-    i, f, o, g = act[:, :H], act[:, H:2 * H], act[:, 2 * H:3 * H], act[:, 3 * H:]
+    H = tc.shape[-1]
+    i, f, o, g = (act[..., k * H:(k + 1) * H] for k in range(4))
     return (np.concatenate([g * i * (1.0 - i), c_prev * f * (1.0 - f),
-                            tc * o * (1.0 - o), i * (1.0 - g * g)], axis=1),
+                            tc * o * (1.0 - o), i * (1.0 - g * g)], axis=-1),
             o * (1.0 - tc * tc))
 
 
-def _lstm_cell_grads(gate_d, cell_d, f, dh, dc, whd):
+def _lstm_cell_grads(gate_d, cell_d, f, dh, dc, dpre):
     """Backward of one `_lstm_cell` step from its `_lstm_cell_derivatives`
     rows and its forget gate `f`.
 
     `dh` and `dc` are the gradients at the step's h' and c' from outside
-    the step; the path through h' = o * tanh(c') is added here.  Returns
-    the gradients at the pre-activations, the previous h and previous c.
+    the step; the path through h' = o * tanh(c') is added here.  Writes the
+    gradients at the pre-activations into `dpre` and returns the gradient
+    at the previous c; the previous h's is `dpre` times the recurrent weights.
     """
     dc = dc + dh * cell_d
-    dpre = np.concatenate([dc, dc, dh, dc], axis=1)
-    dpre *= gate_d
-    return dpre, dpre @ whd, dc * f
+    np.multiply(np.concatenate([dc, dc, dh, dc], axis=-1), gate_d, out=dpre)
+    return dc * f
 
 
-def _packing(lengths, n: int, reverse: bool):
-    """Row order for stepping through stacked sequences: `perm`, its inverse and
-    the (lo, hi) range of rows x[perm] that each step advances.  Sequences rank
-    longest first, so a step's rows are its running sequences in rank order."""
+_DIRECTIONS = np.array([[0], [1]])       # indexes (2, n) row orders by direction
+
+
+def _packing(lengths, n: int):
+    """Row orders for stepping both directions through stacked sequences.
+
+    Sequences rank longest first, so each step advances the running
+    sequences in rank order, in both directions: the forward one from
+    their first row, the backward one from their last.  Returns the (2, n)
+    rows `perms` that packed position p of each direction reads, their
+    inverses, the (lo, hi) range of packed positions of each step, and the
+    packed position of each position's previous step (positions from the
+    second step on).
+    """
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.ndim != 1 or lengths.sum() != n or (lengths < 1).any():
-        raise ShapeError(f"lstm_sequence: lengths {lengths.tolist()} do not split {n} rows")
+        raise ShapeError(f"bilstm_sequence: lengths {lengths.tolist()} do not split {n} rows")
     rank = np.argsort(-lengths, kind="stable")
     size, start = lengths[rank, None], (np.cumsum(lengths) - lengths)[rank, None]
     steps = np.arange(lengths.max(initial=0))
-    rows = start + (size - 1 - steps if reverse else steps)
-    running = steps < size
-    perm = rows.T[running.T]
-    offsets = [0] + np.cumsum(running.sum(axis=0)).tolist()
-    return perm, np.argsort(perm), list(zip(offsets, offsets[1:]))
+    running = (steps < size).T
+    perms = np.stack([(start + steps).T[running], (start + size - 1 - steps).T[running]])
+    counts = running.sum(axis=1)
+    offsets = [0] + np.cumsum(counts).tolist()
+    previous = np.arange(counts[:1].sum(), n) - np.repeat(counts[:-1], counts[1:])
+    return perms, np.argsort(perms, axis=1), list(zip(offsets, offsets[1:])), previous
 
 
-def lstm_sequence(xproj, wh, lengths, reverse: bool = False) -> Tensor:
-    """(N, H) hidden states, in input order, of an LSTM run from the zero state over
-    (N, 4H) input projections that stack sequences of `lengths` rows each; with
-    `reverse` each runs from its last row.  The running
-    sequences advance as the rows of one cell update per step, and
-    backpropagation through time stays inside this one node."""
-    xproj, wh = _coerce(xproj), _coerce(wh)
-    H = _lstm_hidden("lstm_sequence", xproj, wh)
-    n = xproj.data.shape[0]
-    perm, inverse, steps = _packing(lengths, n, reverse)
-    whd, x = wh.data, xproj.data[perm]
-    acts, (tcs, hs, h_prev, c_prev) = np.empty((n, 4 * H)), np.empty((4, n, H))
-    h = c = np.zeros((n, H))
+def bilstm_sequence(xs, fwd, bwd, lengths) -> Tensor:
+    """(N, 2H) [forward | backward] states, in input order, of one
+    bidirectional LSTM layer over (N, I) rows that stack sequences of
+    `lengths` rows each, both directions run from the zero state.
+
+    `fwd` and `bwd` are LSTM layers with weights `wx` (4H, I), `wh` (4H, H)
+    and `b` (4H,) (`nn.LstmCell`); `fwd` reads each sequence from its first
+    row and `bwd` from its last.  The running sequences of both directions
+    advance as one stacked (2, k, 4H) cell update per step, and
+    backpropagation through time stays inside this one node: one time loop
+    for both directions, after which each weight gradient is one product
+    over all rows.
+    """
+    parents = tuple(_coerce(p) for p in (xs, fwd.wx, fwd.wh, fwd.b, bwd.wx, bwd.wh, bwd.b))
+    x = parents[0].data
+    wx, wh, b = ([p.data for p in parents[k::3]] for k in (1, 2, 3))    # per direction
+    H = wh[0].shape[-1]
+    want = [(4 * H, x.shape[-1]), (4 * H, H), (4 * H,)] * 2
+    got = [p.data.shape for p in parents[1:]]
+    if x.ndim != 2 or got != want:
+        raise ShapeError(f"bilstm_sequence: input {x.shape} and weights wx, wh, b "
+                         f"{got} do not fit, expected {want}")
+    n = x.shape[0]
+    perms, inverses, steps, previous = _packing(lengths, n)
+    xp = x[perms]                        # each direction's inputs in its packed order
+    acts = np.empty((2, n, 4 * H))       # the input projections, then the gate values
+    hs, cs, tcs = np.empty((3, 2, n, H))
+    for d in range(2):
+        np.matmul(xp[d], wx[d].T, out=acts[d])
+        acts[d] += b[d]
+    h = c = np.zeros((2, n, H))
     for lo, hi in steps:
-        h, c = h[:hi - lo], c[:hi - lo]  # sequences that ended drop out
-        act, c_next, tc = _lstm_cell(x[lo:hi] + h @ whd.T, c, H)
-        h_prev[lo:hi], c_prev[lo:hi], acts[lo:hi], tcs[lo:hi] = h, c, act, tc
-        h, c = act[:, 2 * H:3 * H] * tc, c_next
-        hs[lo:hi] = h
+        k = hi - lo                      # sequences that ended drop out
+        act = acts[:, lo:hi]
+        for d in range(2):
+            act[d] += h[d, :k] @ wh[d].T
+        _, c, tc = _lstm_cell(act, c[:, :k], H)
+        cs[:, lo:hi], tcs[:, lo:hi] = c, tc
+        h = np.multiply(act[..., 2 * H:3 * H], tc, out=hs[:, lo:hi])
+    out = np.empty((n, 2, H))
+    out[perms, _DIRECTIONS] = hs
 
-    def bwd(grad):
-        grad, dpre = grad[perm], np.empty((n, 4 * H))
-        dh, dc = np.zeros((2, n, H))
+    def backward_fn(grad):
+        first = n - previous.size       # positions of the first step start from zero
+        h_prev, c_prev = np.zeros((2, 2, n, H))
+        h_prev[:, first:], c_prev[:, first:] = hs[:, previous], cs[:, previous]
         gate_d, cell_d = _lstm_cell_derivatives(acts, c_prev, tcs)
+        grad = grad.reshape(n, 2, H)[perms, _DIRECTIONS]
+        dpre, (dh, dc) = np.empty((2, n, 4 * H)), np.zeros((2, 2, n, H))
         for lo, hi in reversed(steps):
             k = hi - lo                  # sequences at their last step join at zero
-            dpre[lo:hi], dh[:k], dc[:k] = _lstm_cell_grads(
-                gate_d[lo:hi], cell_d[lo:hi], acts[lo:hi, H:2 * H], grad[lo:hi] + dh[:k],
-                dc[:k], whd)
-        return dpre[inverse], dpre.T @ h_prev
+            dc[:, :k] = _lstm_cell_grads(gate_d[:, lo:hi], cell_d[:, lo:hi],
+                                         acts[:, lo:hi, H:2 * H], grad[:, lo:hi] + dh[:, :k],
+                                         dc[:, :k], dpre[:, lo:hi])
+            for d in range(2):
+                np.matmul(dpre[d, lo:hi], wh[d], out=dh[d, :k])
+        dx = (dpre[0] @ wx[0])[inverses[0]] + (dpre[1] @ wx[1])[inverses[1]]
+        return (dx, *(g for d in range(2) for g in (dpre[d].T @ xp[d], dpre[d].T @ h_prev[d],
+                                                     dpre[d].sum(axis=0))))
 
-    return _node(hs[inverse], (xproj, wh), bwd)
+    return _node(out.reshape(n, 2 * H), parents, backward_fn)
 
 
 def _attend(h, keys, enc, mask, w_comb, b_comb):
@@ -394,10 +424,9 @@ def attention_decoder(inputs, h0, cell, keys, enc, w_comb, b_comb, mask=None) ->
             dctx[rows], p = dhc[:, H:], probs[rows]
             dp = dctx[rows] @ encd.T
             dscores[rows] = p * (dp - (dp * p).sum(axis=1, keepdims=True))
-            dpre[rows], dh, dc = _lstm_cell_grads(
-                gate_d[rows], cell_d[rows], acts[rows, H:2 * H],
-                dh + dhc[:, :H] + dscores[rows] @ keysd, dc, whd)
-            dfeed = dpre[rows] @ wx_feed
+            dc = _lstm_cell_grads(gate_d[rows], cell_d[rows], acts[rows, H:2 * H],
+                                  dh + dhc[:, :H] + dscores[rows] @ keysd, dc, dpre[rows])
+            dh, dfeed = dpre[rows] @ whd, dpre[rows] @ wx_feed
         return (dpre @ wxd[:, :E], dh, dpre.T @ X, dpre.T @ h_prev, dpre.sum(axis=0),
                 dscores.T @ hc[:, :H], probs.T @ dctx, dz.T @ hc, dz.sum(axis=0))
 

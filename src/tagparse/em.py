@@ -68,8 +68,10 @@ class EmConfig:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:       # NaN fails too
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.log_every < 1:
+            raise ValueError(f"log_every must be >= 1, got {self.log_every}")
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ blocks of the hidden size.  Every parameter comes from a source
 Glorot-uniform, drawn in call order, and each 1-d bias zero;
 `checkpoint.stored` hands a loaded model its checkpoint's arrays.
 
-Sequences stacked row-wise run as one fused `lstm_sequence` autodiff
-node giving an (N, hidden) matrix.  `LstmCell.step` advances B rows of
+Each encoder layer runs the sequences stacked row-wise through both of
+its directions as one fused `bilstm_sequence` autodiff node giving an
+(N, 2 * hidden) matrix.  `LstmCell.step` advances B rows of
 packed (B, 2 * hidden) [h | c] state arrays by one step and records no
 graph.  The parser's decoder cell takes it once per output step in both
 of its uses: beam search, and the forward pass of the teacher-forced
@@ -84,10 +85,6 @@ class LstmCell:
                                         + state[:, :H] @ self.wh.data.T, state[:, H:], H)
         return np.concatenate([act[:, 2 * H:3 * H] * tc, c_next], axis=1)
 
-    def run(self, xs: Tensor, lengths, reverse: bool = False) -> Tensor:
-        """(N, H) states of the sequences stacked in (N, I) rows; see lstm_sequence."""
-        return ad.lstm_sequence(ad.linear(xs, self.wx, self.b), self.wh, lengths, reverse)
-
 
 class BiLstmEncoder:
     """Stacked bidirectional LSTM; per-word output is [forward; backward]."""
@@ -115,5 +112,5 @@ class BiLstmEncoder:
     def encode(self, xs: Tensor, lengths) -> Tensor:
         """Map (N, I) rows of sequences `lengths` long to (N, 2H) states."""
         for fwd, bwd in self.layers:
-            xs = ad.concat([fwd.run(xs, lengths), bwd.run(xs, lengths, reverse=True)], axis=1)
+            xs = ad.bilstm_sequence(xs, fwd, bwd, lengths)
         return xs

@@ -70,8 +70,8 @@ class ParserConfig:
                      "hidden_size", "num_layers", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:       # NaN fails too
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)

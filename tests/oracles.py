@@ -2,13 +2,16 @@
 
 They compute the same functions out of small autodiff ops: the LSTM cell
 as a per-gate chain of column slices, sigmoids, tanhs and products run
-one (1, 4H) row at a time, one sequence at a time, the encoder with one
-concat per word, the tagger one utterance at a time, the parser and EM
+one (1, 4H) row at a time, one sequence and one direction at a time, each
+bidirectional encoder layer with one concat per word, the tagger one
+utterance at a time, the parser and EM
 losses as the mean of per-example losses, the teacher-forced decoder as
 one small-op step at a time, and beam search with one decoder step per
 hypothesis.  Tests compare the library against them;
 the package never uses them.  The autodiff ops that only tests need,
-`sigmoid`, `tsum`, `transpose`, `matmul` and `mul`, live here too.
+`sigmoid`, `tsum`, `transpose`, `matmul` and `mul`, live here too, and
+`sigmoid` computes the logistic function itself rather than through the
+library's one-tanh gate activation.
 """
 
 import contextlib
@@ -22,9 +25,15 @@ from tagparse.parser import BOS, EOS, DecodeResult, _start, embed_inputs
 from tagparse.tagger import tag_distribution
 
 
+def _sigmoid(x):
+    # Branch on sign so exp never overflows.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a):
     """Elementwise logistic function as an autodiff op."""
-    out = ad._sigmoid(a.data)
+    out = _sigmoid(a.data)
 
     def bwd(g):
         return (g * out * (1.0 - out),)
@@ -121,15 +130,19 @@ def row_blocks(xs, lengths):
     return [ad.embedding(xs, np.arange(end - l, end)) for l, end in zip(lengths, ends)]
 
 
+def gate_layer(xs, fwd, bwd, lengths):
+    """One bidirectional layer over stacked sequences, one concat per word."""
+    return ad.concat([ad.concat([f, b], axis=1)
+                      for block in row_blocks(xs, lengths)
+                      for f, b in zip(gate_run(fwd, block), gate_run(bwd, block, reverse=True))],
+                     axis=0)
+
+
 def gate_encode(encoder, xs):
-    """Stacked bidirectional encoding with one concat per word."""
-    current = xs
+    """Stacked bidirectional encoding of one sequence with one concat per word."""
     for fwd, bwd in encoder.layers:
-        per_word = [ad.concat([f, b], axis=1)
-                    for f, b in zip(gate_run(fwd, current),
-                                    gate_run(bwd, current, reverse=True))]
-        current = ad.concat(per_word, axis=0)
-    return current
+        xs = gate_layer(xs, fwd, bwd, [xs.data.shape[0]])
+    return xs
 
 
 def gate_tag_distribution(params, words):
@@ -143,7 +156,14 @@ def gate_tag_distribution(params, words):
 
 @contextlib.contextmanager
 def per_gate_cells(cells):
-    """Swap each cell's fused `run` and array-level `step` for the per-gate chain."""
+    """Swap each cell's array-level `step`, and each encoder layer of these
+    cells, for the per-gate chain.
+
+    A layer is one `ad.bilstm_sequence` call, so the swap replaces that op
+    for the layers whose cells are listed; the context yields a list that
+    records the (fwd, bwd) cells of each swapped layer run.
+    """
+    cells, fused, layers = list(cells), ad.bilstm_sequence, []
 
     def patch(cell):
         H = cell.hidden_size
@@ -153,21 +173,23 @@ def per_gate_cells(cells):
                 h, c = gate_step(cell, affine(x, cell.wx, cell.b), state[:, :H], state[:, H:])
             return np.concatenate([h.data, c.data], axis=1)
 
-        def run(xs, lengths, reverse=False):
-            blocks = row_blocks(xs, lengths)
-            return ad.concat([h for block in blocks for h in gate_run(cell, block, reverse)],
-                             axis=0)
+        cell.step = step
 
-        cell.step, cell.run = step, run
+    def layer(xs, fwd, bwd, lengths):
+        if not any(fwd is cell for cell in cells):
+            return fused(xs, fwd, bwd, lengths)
+        layers.append((fwd, bwd))
+        return gate_layer(xs, fwd, bwd, lengths)
 
-    cells = list(cells)
     for cell in cells:
         patch(cell)
+    ad.bilstm_sequence = layer
     try:
-        yield
+        yield layers
     finally:
+        ad.bilstm_sequence = fused
         for cell in cells:
-            del cell.step, cell.run
+            del cell.step
 
 
 def parser_cells(params):

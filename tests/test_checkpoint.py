@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from tagparse import autodiff as ad
 from tagparse.checkpoint import (CheckpointError, config_from_fields, save_checkpoint,
                                  load_checkpoint)
+from tagparse.em import EmConfig
 from tagparse.parser import ParserConfig
 
 
@@ -375,6 +376,24 @@ def test_config_number_field_takes_an_integer():
     config = config_from_fields(ParserConfig, {"learning_rate": 1, "use_tags": False},
                                 "config")
     assert config.learning_rate == 1 and config.use_tags is False
+
+
+@given(cls=st.sampled_from(["em", "parser"]), learning_rate=st.floats(),
+       log_every=st.integers(-3, 3))
+def test_any_float_learning_rate_constructs_or_raises_value_error(cls, learning_rate,
+                                                                  log_every):
+    # st.floats() draws NaN and both infinities too
+    try:
+        if cls == "em":
+            config = EmConfig(seed=0, learning_rate=learning_rate, log_every=log_every)
+            assert config.log_every >= 1
+        else:
+            config = ParserConfig(learning_rate=learning_rate)
+    except ValueError as e:
+        assert str(e).startswith(("learning_rate must be", "log_every must be"))
+        assert not (0 < learning_rate < math.inf) or (cls == "em" and log_every < 1)
+    else:
+        assert 0 < config.learning_rate < math.inf
 
 
 # any JSON value, NaN and the infinities included

@@ -259,6 +259,37 @@ def test_bad_training_config_is_one_line_error(command, flag, case, pipeline, tm
     assert err.splitlines() == [f"error: {flag} {path} {message.replace('INT', field)}"]
 
 
+@pytest.mark.parametrize("command,fields,message", [
+    pytest.param("train-tagger", {"log_every": 0}, "log_every must be >= 1, got 0",
+                 id="tagger-log_every-0"),
+    pytest.param("train-tagger", {"log_every": -3}, "log_every must be >= 1, got -3",
+                 id="tagger-log_every-negative"),
+    pytest.param("train-tagger", {"learning_rate": float("nan")},
+                 "learning_rate must be finite and > 0, got nan", id="tagger-nan"),
+    pytest.param("train-tagger", {"learning_rate": float("inf")},
+                 "learning_rate must be finite and > 0, got inf", id="tagger-inf"),
+    pytest.param("train-parser", {"learning_rate": float("nan")},
+                 "learning_rate must be finite and > 0, got nan", id="parser-nan"),
+    pytest.param("train-parser", {"learning_rate": float("-inf")},
+                 "learning_rate must be finite and > 0, got -inf", id="parser-minus-inf"),
+])
+def test_training_config_out_of_range_is_one_line_error(command, fields, message, pipeline,
+                                                        tmp_path, capsys):
+    # json reads NaN and Infinity as floats; training must not start on them.
+    # The small sizes keep a wrongly accepted file quick to train
+    small = ({"total_updates": 2, "soft_updates": 1} if command == "train-tagger" else
+             {"epochs": 1, "hidden_size": 4, "word_embedding_size": 4})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**small, **fields}))
+    baseline = ["--baseline"] if command == "train-parser" else []
+    code, _, err = run_cli(capsys, command, "--corpus", str(pipeline["corpus"]),
+                           "--split", str(pipeline["split"]), "--seed", "0", *baseline,
+                           "--config", str(path), "--log", str(tmp_path / "log.tsv"),
+                           "--out", str(tmp_path / "out.json"))
+    assert code == 1
+    assert err.splitlines() == [f"error: --config {path}: {message}"]
+
+
 def test_parse_tagged_checkpoint_requires_tagger(pipeline, capsys):
     code, _, err = run_cli(capsys, "parse",
                            "--corpus", str(pipeline["corpus"]),

@@ -32,10 +32,18 @@ def test_star_import_binds_every_export():
     assert set(tagparse.__all__) <= set(namespace)
 
 
-@pytest.mark.parametrize("name", ["sigmoid", "tsum", "transpose", "matmul", "mul"])
+@pytest.mark.parametrize("name", ["sigmoid", "_sigmoid", "tsum", "transpose", "matmul", "mul",
+                                  "lstm_sequence"])
 def test_test_only_ops_stay_out_of_autodiff(name):
-    # these live in tests/oracles.py; the library applies weights through `linear`
+    # these live in tests/oracles.py, or are gone: the library applies weights
+    # through `linear`, activates gates with one tanh and runs each encoder
+    # layer as one `bilstm_sequence` node
     assert not hasattr(importlib.import_module("tagparse.autodiff"), name)
+
+
+def test_lstm_cell_has_no_sequence_run():
+    # an encoder layer runs both of its cells inside `bilstm_sequence`
+    assert not hasattr(importlib.import_module("tagparse.nn").LstmCell, "run")
 
 
 def test_no_module_rebinds_a_tensor_data():

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from tagparse import autodiff as ad
 from tagparse.data import SymbolSet
 from tagparse.em import compute_posteriors, em_loss, harden_posteriors
-from tagparse.nn import LstmCell, Vocab, drawn
+from tagparse.nn import BiLstmEncoder, LstmCell, Vocab, drawn
 from tagparse.parser import (BOS, EOS, DecodeConfig, ParserConfig, _batch_loss,
                              decode, init_parser)
 from tagparse.tagger import (NULL_TAG, UNK_TAG, TaggerConfig, TagVocabulary,
                              init_tagger, predict_tags, tag_distribution)
 
-from tests.oracles import (affine, beam_decode, decoder_step, em_mean_loss, gate_run,
+from tests.oracles import (affine, beam_decode, decoder_step, em_mean_loss, gate_layer,
                            gate_step, gate_tag_distribution, mean_loss, mul,
                            output_probs, parser_cells, per_gate_cells, row_blocks,
                            start, step_loss, tsum)
@@ -39,55 +39,69 @@ def cell_and_inputs(seed, H, rows, input_size=3):
     return rng, cell, ad.parameter(rng.normal(size=(rows, input_size)), "x")
 
 
+def layer_and_inputs(seed, H, rows, input_size=3):
+    """A bidirectional layer's (fwd, bwd) cells, nonzero biases, and (rows, I) inputs."""
+    rng, fwd, x = cell_and_inputs(seed, H, rows, input_size)
+    bwd = LstmCell("d", input_size, H, drawn(rng))
+    bwd.b.data[:] = rng.normal(size=4 * H)
+    return rng, (fwd, bwd), x
+
+
+def layer_params(x, cells):
+    return [x, *(p for cell in cells for p in cell.parameters())]
+
+
 def weighted_sum(out, weights):
     return tsum(mul(out, weights))
 
 
-@given(seed=seeds, H=hidden, n=st.integers(1, 7), reverse=st.booleans())
-def test_lstm_sequence_matches_per_gate_chain(seed, H, n, reverse):
-    rng, cell, x = cell_and_inputs(seed, H, n)
-    weights = rng.normal(size=(n, H))
-    fused = cell.run(x, [n], reverse)
-    oracle = ad.concat(gate_run(cell, x, reverse), axis=0)
-    assert fused.data.shape == (n, H)
+ragged = st.lists(st.integers(1, 7), min_size=1, max_size=5)
+
+
+@given(seed=seeds, H=hidden, lengths=ragged)
+def test_lstm_sequence_matches_per_gate_chain(seed, H, lengths):
+    # one bilstm_sequence node against the per-gate chain, one sequence and
+    # one direction at a time
+    rng, cells, x = layer_and_inputs(seed, H, sum(lengths))
+    weights = rng.normal(size=(sum(lengths), 2 * H))
+    fused = ad.bilstm_sequence(x, *cells, lengths)
+    oracle = gate_layer(x, *cells, lengths)
+    assert fused.data.shape == (sum(lengths), 2 * H)
     assert np.abs(fused.data - oracle.data).max() <= 1e-12
-    params = [x, *cell.parameters()]
+    params = layer_params(x, cells)
     got = ad.backward(weighted_sum(fused, weights), params)
     want = ad.backward(weighted_sum(oracle, weights), params)
     for p in params:
         assert rel_err(got[p], want[p]) <= 1e-9, p.name
 
 
-ragged = st.lists(st.integers(1, 7), min_size=1, max_size=5)
-
-
-@given(seed=seeds, H=hidden, lengths=ragged, reverse=st.booleans())
-def test_ragged_lstm_sequence_matches_separate_runs(seed, H, lengths, reverse):
-    rng, cell, x = cell_and_inputs(seed, H, sum(lengths))
-    weights = rng.normal(size=(sum(lengths), H))
-    stacked = cell.run(x, lengths, reverse)
-    separate = ad.concat([h for block in row_blocks(x, lengths)
-                          for h in gate_run(cell, block, reverse)], axis=0)
-    assert stacked.data.shape == (sum(lengths), H)
+@given(seed=seeds, H=hidden, lengths=ragged)
+def test_ragged_lstm_sequence_matches_separate_runs(seed, H, lengths):
+    # stacking sequences of mixed lengths into one node changes no state or gradient
+    rng, cells, x = layer_and_inputs(seed, H, sum(lengths))
+    weights = rng.normal(size=(sum(lengths), 2 * H))
+    stacked = ad.bilstm_sequence(x, *cells, lengths)
+    separate = ad.concat([ad.bilstm_sequence(block, *cells, [len(block.data)])
+                          for block in row_blocks(x, lengths)], axis=0)
     assert np.abs(stacked.data - separate.data).max() <= 1e-12
-    params = [x, *cell.parameters()]
+    params = layer_params(x, cells)
     got = ad.backward(weighted_sum(stacked, weights), params)
     want = ad.backward(weighted_sum(separate, weights), params)
     for p in params:
         assert rel_err(got[p], want[p]) <= 1e-9, p.name
 
 
-@given(seed=seeds, H=hidden, lengths=ragged, reverse=st.booleans())
-def test_ragged_lstm_sequence_finite_differences(seed, H, lengths, reverse):
-    rng, cell, x = cell_and_inputs(seed, H, sum(lengths))
-    target = rng.uniform(0.1, 1.0, size=(sum(lengths), H))
+@given(seed=seeds, H=hidden, lengths=ragged)
+def test_ragged_lstm_sequence_finite_differences(seed, H, lengths):
+    rng, cells, x = layer_and_inputs(seed, H, sum(lengths))
+    target = rng.uniform(0.1, 1.0, size=(sum(lengths), 2 * H))
 
     def loss():
         # the mean over rows keeps the loss O(1), within finite-difference resolution
-        return mul(ad.cross_entropy(ad.softmax(cell.run(x, lengths, reverse)), target),
-                   1.0 / sum(lengths))
+        return mul(ad.cross_entropy(ad.softmax(ad.bilstm_sequence(x, *cells, lengths)),
+                                    target), 1.0 / sum(lengths))
 
-    err = ad.finite_diff_check(loss, [x, *cell.parameters()], num_coords=30,
+    err = ad.finite_diff_check(loss, layer_params(x, cells), num_coords=30,
                                rng=np.random.default_rng(seed))
     assert err <= 1e-5
 
@@ -95,13 +109,19 @@ def test_ragged_lstm_sequence_finite_differences(seed, H, lengths, reverse):
 @pytest.mark.parametrize("lengths", [[2, 1], [3, 3], [3, 0, 1], [0, 4], [-1, 5], [[4]],
                                      np.array([[4]])])
 def test_lstm_sequence_rejects_lengths_that_do_not_split_the_rows(lengths):
-    xproj, wh = np.zeros((4, 8)), ad.tensor(np.zeros((8, 2)))
+    cells = [LstmCell(name, 3, 2, lambda name, shape: ad.tensor(np.zeros(shape)))
+             for name in "fb"]
     with pytest.raises(ad.ShapeError, match="lengths .* do not split 4 rows"):
-        ad.lstm_sequence(xproj, wh, lengths)
+        ad.bilstm_sequence(np.zeros((4, 3)), *cells, lengths)
 
 
 def test_lstm_sequence_over_no_rows_is_empty():
-    assert ad.lstm_sequence(np.zeros((0, 8)), np.zeros((8, 2)), []).data.shape == (0, 2)
+    _, cells, _ = layer_and_inputs(0, 2, 0)
+    x = ad.parameter(np.zeros((0, 3)), "x")
+    out = ad.bilstm_sequence(x, *cells, [])
+    assert out.data.shape == (0, 4)
+    grads = ad.backward(tsum(out), layer_params(x, cells))
+    assert all(not g.any() for g in grads.values())
 
 
 @given(seed=seeds, H=hidden, B=st.integers(1, 5))
@@ -114,17 +134,29 @@ def test_lstm_step_matches_per_gate_chain(seed, H, B):
     assert np.abs(stepped - np.concatenate([h.data, c.data], axis=1)).max() <= 1e-12
 
 
-@given(seed=seeds, H=hidden, n=st.integers(1, 5), reverse=st.booleans())
-def test_lstm_sequence_finite_differences(seed, H, n, reverse):
-    rng, cell, x = cell_and_inputs(seed, H, n)
-    target = rng.uniform(0.1, 1.0, size=(n, H))
+@given(seed=seeds, H=hidden, n=st.integers(1, 5))
+def test_lstm_sequence_finite_differences(seed, H, n):
+    rng, cells, x = layer_and_inputs(seed, H, n)
+    target = rng.uniform(0.1, 1.0, size=(n, 2 * H))
 
     def loss():
-        return ad.cross_entropy(ad.softmax(cell.run(x, [n], reverse)), target)
+        # the mean over rows keeps the loss O(1), within finite-difference resolution
+        return mul(ad.cross_entropy(ad.softmax(ad.bilstm_sequence(x, *cells, [n])), target),
+                   1.0 / n)
 
-    err = ad.finite_diff_check(loss, [x, *cell.parameters()], num_coords=30,
+    err = ad.finite_diff_check(loss, layer_params(x, cells), num_coords=30,
                                rng=np.random.default_rng(seed))
     assert err <= 1e-5
+
+
+@given(seed=seeds, lengths=ragged, num_layers=st.integers(1, 3))
+def test_encoder_layer_is_one_node_whatever_the_batch(seed, lengths, num_layers):
+    rng = np.random.default_rng(seed)
+    encoder = BiLstmEncoder("e", 3, 2, num_layers, drawn(rng))
+    x = ad.parameter(rng.normal(size=(sum(lengths), 3)), "x")
+    nodes = graph_nodes(encoder.encode(x, lengths))
+    assert len(nodes) == num_layers
+    assert all(len(node.parents) == 7 for node in nodes)
 
 
 def random_batch(params, rng, size):
@@ -291,7 +323,7 @@ def test_decode_tokens_match_per_gate_oracle(seed, hidden_size, use_tags, n):
     for beam in (1, 2, 5):
         config = DecodeConfig(beam_size=beam, max_length=8)
         fused = decode(params, utterance, tags, config)
-        with per_gate_cells(parser_cells(params)):
+        with per_gate_cells(parser_cells(params)) as layers:
             gate_cell_step, calls = params.decoder.step, []
 
             def counted(x, state):
@@ -300,7 +332,9 @@ def test_decode_tokens_match_per_gate_oracle(seed, hidden_size, use_tags, n):
 
             params.decoder.step = counted
             oracle = decode(params, utterance, tags, config)
-        # one step per output token, plus the end marker's, reaches the swapped cell
+        # the one encoder pass reaches every swapped layer, and one step per
+        # output token, plus the end marker's, reaches the swapped cell
+        assert layers == params.encoder.layers
         assert len(calls) >= len(oracle.token_ids) + (not oracle.truncated)
         assert fused.token_ids == oracle.token_ids
         assert fused.truncated == oracle.truncated
@@ -402,9 +436,16 @@ def test_exact_beam_equals_exhaustive_enumeration(seed, hidden_size, use_tags, n
 
 
 def test_lstm_ops_reject_mismatched_shapes():
-    wh = ad.tensor(np.zeros((8, 2)))
-    with pytest.raises(ad.ShapeError, match="lstm_sequence: input projection"):
-        ad.lstm_sequence(np.zeros((3, 6)), wh, [3])
+    def cells(hidden, inputs=3):
+        return [LstmCell(name, inputs, hidden, lambda name, shape: ad.tensor(np.zeros(shape)))
+                for name in "fb"]
+
+    assert ad.bilstm_sequence(np.zeros((3, 3)), *cells(2), [3]).data.shape == (3, 4)
+    for x, (fwd, bwd) in [(np.zeros((3, 4)), cells(2)), (np.zeros(3), cells(2)),
+                          (np.zeros((3, 3)), [cells(2)[0], cells(3)[1]]),
+                          (np.zeros((3, 3)), [cells(2)[0], cells(2, inputs=4)[1]])]:
+        with pytest.raises(ad.ShapeError, match="bilstm_sequence: input"):
+            ad.bilstm_sequence(x, fwd, bwd, [3])
 
 
 TAGGER_WORDS = "frame0 word1 trips to city2 from".split()

@@ -30,16 +30,15 @@ def test_output_shape_n_by_twice_hidden():
 
 
 def test_reversal_swaps_directional_states():
-    # Forward states over x equal backward states over reversed x at
-    # mirrored positions, because both cells share weights per direction
-    # only through their own runs.
+    # With one cell for both directions, the forward states over x equal the
+    # backward states over reversed x at mirrored positions, and vice versa.
     rng = np.random.default_rng(1)
     cell = LstmCell("c", input_size=3, hidden_size=4, make=drawn(rng))
     x = rng.normal(size=(5, 3))
-    fwd = cell.run(ad.tensor(x), [5])
-    bwd = cell.run(ad.tensor(x[::-1].copy()), [5], reverse=True)
-    for t in range(5):
-        np.testing.assert_allclose(fwd.data[t], bwd.data[4 - t], atol=1e-12)
+    out = ad.bilstm_sequence(ad.tensor(x), cell, cell, [5]).data
+    mirrored = ad.bilstm_sequence(ad.tensor(x[::-1].copy()), cell, cell, [5]).data
+    np.testing.assert_allclose(out[:, :4], mirrored[::-1, 4:], atol=1e-12)
+    np.testing.assert_allclose(out[:, 4:], mirrored[::-1, :4], atol=1e-12)
 
 
 def test_stacked_layers_change_input_size():
