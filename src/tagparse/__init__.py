@@ -18,8 +18,8 @@ from .data import (CorpusError, CorpusExample, EntitySpan, MeaningParseError,
                    tokenize_utterance)
 from .data.splits import SplitError, SplitSpec, make_split
 from .em import (AlignmentPosterior, EmConfig, EmError, compute_posteriors,
-                 em_loss, fix_linked_posteriors, gold_tag_ids,
-                 harden_posteriors, tag_accuracy, train_tagger)
+                 em_loss, gold_tag_ids, harden_posteriors, tag_accuracy,
+                 train_tagger)
 from .evaluation import (ERROR_CLASSES, EvalError, EvalReport,
                          aggregate_reports, classify_error, evaluate,
                          exact_match, normalize_tokens, report_table)
@@ -45,8 +45,8 @@ __all__ = [
     "TaggerConfig", "TaggerParams", "TagVocabulary", "init_tagger",
     "load_tagger", "predict_tags", "save_tagger", "tag_distribution",
     "AlignmentPosterior", "EmConfig", "EmError", "compute_posteriors",
-    "em_loss", "fix_linked_posteriors", "gold_tag_ids", "harden_posteriors",
-    "tag_accuracy", "train_tagger",
+    "em_loss", "gold_tag_ids", "harden_posteriors", "tag_accuracy",
+    "train_tagger",
     # parser
     "DecodeConfig", "DecodeResult", "ParseResult", "ParserConfig",
     "ParserError", "ParserParams", "decode", "embed_inputs", "init_parser",

@@ -16,7 +16,7 @@ shapes in the message.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "PROB_FLOOR",
     "backward",
     "glorot",
-    "finite_diff_check",
 ]
 
 
@@ -356,17 +355,16 @@ def _attend(h, keys, enc, mask, w_comb, b_comb):
     """Masked bilinear attention and the input feed of (B, H) decoder states `h`.
 
     `keys` (N, H) score the stacked encoder states `enc` (N, C); the additive
-    (B, N) `mask`, or None, limits each row to its own utterance.  Returns the
-    attention weights (B, N), the combine layer's input [h; context]
+    mask, 0 or -inf and (B, N) or (1, N), limits each row to its own utterance.
+    Returns the attention weights (B, N), the combine layer's input [h; context]
     (B, H + C) and the feed tanh([h; context] @ w_comb.T + b_comb).
     """
-    scores = h @ keys.T
-    probs = _softmax(scores if mask is None else scores + mask)
+    probs = _softmax(h @ keys.T + mask)
     hc = np.concatenate([h, probs @ enc], axis=1)
     return probs, hc, np.tanh(hc @ w_comb.T + b_comb)
 
 
-def attention_decoder(inputs, h0, cell, keys, enc, w_comb, b_comb, mask=None) -> Tensor:
+def attention_decoder(inputs, h0, cell, keys, enc, w_comb, b_comb, mask) -> Tensor:
     """(T * B, H) input feeds of an attentional LSTM decoder teacher-forced
     through T steps of B rows.
 
@@ -376,10 +374,10 @@ def attention_decoder(inputs, h0, cell, keys, enc, w_comb, b_comb, mask=None) ->
     weights `wx` (4H, E + H), `wh` and `b` and a `step(x, state)` that
     advances arrays of packed [h | c] states (`nn.LstmCell`).  Step t runs
     `cell.step` on [input; previous feed], then attends with its new h through
-    `_attend`, whose feed is row block t of the output.  Backpropagation
-    through time stays inside this one node: it recomputes the gate
-    activations of all T * B rows at once from the stored states, and each
-    weight gradient is one product over all T * B rows.
+    `_attend` with the additive (B, N) `mask`; its feed is row block t of the
+    output.  Backpropagation through time stays inside this one node: it
+    recomputes the gate activations of all T * B rows at once from the
+    stored states, and each weight gradient is one product over all T * B rows.
     """
     parents = tuple(_coerce(p) for p in (inputs, h0, cell.wx, cell.wh, cell.b, keys, enc,
                                          w_comb, b_comb))
@@ -390,8 +388,7 @@ def attention_decoder(inputs, h0, cell, keys, enc, w_comb, b_comb, mask=None) ->
                          f"of h0 {h0d.shape}, or encoder states {encd.shape} are not 2-d")
     (B, H), E, (N, C), n = h0d.shape, x.shape[1], encd.shape, x.shape[0]
     want = [(4 * H, E + H), (4 * H, H), (4 * H,), (N, H), (H, H + C), (H,), (B, N)]
-    got = [wxd.shape, whd.shape, bd.shape, keysd.shape, wcd.shape, bcd.shape,
-           (B, N) if mask is None else np.shape(mask)]
+    got = [wxd.shape, whd.shape, bd.shape, keysd.shape, wcd.shape, bcd.shape, np.shape(mask)]
     if got != want:
         raise ShapeError(f"attention_decoder: wx, wh, b, keys, w_comb, b_comb and mask "
                          f"are {got}, expected {want}")
@@ -530,35 +527,3 @@ def glorot(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     a = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=shape)
 
-
-def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
-                      num_coords: int = 50, h: float = 1e-6,
-                      rng: np.random.Generator | None = None) -> float:
-    """Compare backward gradients against central finite differences.
-
-    Independently of the backward pass, evaluates loss_fn forward-only at
-    +/-h perturbations of randomly sampled parameter coordinates and
-    returns the maximum relative error observed.  The denominator is
-    floored at 1e-3 so that coordinates whose true derivative is below
-    finite-difference resolution read as agreement, not noise.
-    """
-    rng = rng or np.random.default_rng(0)
-    analytic = backward(loss_fn(), params)
-    worst = 0.0
-    sized = [p for p in params if p.data.size > 0]
-    for _ in range(num_coords):
-        p = sized[rng.integers(len(sized))]
-        flat = p.data.reshape(-1)
-        i = int(rng.integers(flat.size))
-        orig = flat[i]
-        with no_grad():
-            flat[i] = orig + h
-            up = float(loss_fn().data)
-            flat[i] = orig - h
-            down = float(loss_fn().data)
-            flat[i] = orig
-        fd = (up - down) / (2.0 * h)
-        an = float(analytic[p].reshape(-1)[i])
-        err = abs(fd - an) / max(abs(fd), abs(an), 1e-3)
-        worst = max(worst, err)
-    return worst

@@ -41,8 +41,7 @@ from .tagger import (TaggerConfig, TaggerParams, TagVocabulary, init_tagger, pre
                      tag_distribution)
 
 __all__ = ["EmError", "EmConfig", "AlignmentPosterior", "compute_posteriors",
-           "fix_linked_posteriors", "harden_posteriors", "em_loss", "gold_tag_ids",
-           "tag_accuracy", "train_tagger"]
+           "harden_posteriors", "em_loss", "gold_tag_ids", "tag_accuracy", "train_tagger"]
 
 
 class EmError(RuntimeError):
@@ -102,7 +101,8 @@ def _column_tag_ids(symbol_set: SymbolSet, tag_vocab: TagVocabulary) -> np.ndarr
 def compute_posteriors(probs: np.ndarray, symbol_set: SymbolSet,
                        tag_vocab: TagVocabulary) -> AlignmentPosterior:
     """Exact soft posterior over independent per-symbol alignments, from one
-    utterance's (n, |tags|) tag probabilities."""
+    utterance's (n, |tags|) tag probabilities, with entity-linked columns
+    pinned to their spans."""
     n, l = probs.shape[0], symbol_set.l
     if symbol_set.padded_length != n:
         raise EmError(
@@ -115,30 +115,20 @@ def compute_posteriors(probs: np.ndarray, symbol_set: SymbolSet,
         dead = int(np.flatnonzero(likelihood.sum(axis=0) == 0.0)[0])
         raise EmError(f"column {dead} has zero likelihood at every word")
     likelihood = np.maximum(likelihood, ad.PROB_FLOOR)
-    posterior = AlignmentPosterior(
-        matrix=likelihood / likelihood.sum(axis=0, keepdims=True),
-        num_symbols=l, mode="soft", tag_ids=tag_ids)
-    return fix_linked_posteriors(posterior, symbol_set)
-
-
-def fix_linked_posteriors(posterior: AlignmentPosterior,
-                          symbol_set: SymbolSet) -> AlignmentPosterior:
-    """Overwrite entity-linked columns with 1/|span| mass on the span."""
-    if not symbol_set.fixed_alignments:
-        return posterior
-    matrix = posterior.matrix.copy()
-    fixed = set(posterior.fixed_columns)
+    matrix = likelihood / likelihood.sum(axis=0, keepdims=True)
+    # entity-linked columns are pinned to 1/|span| mass on their span
+    fixed = set()
     for symbol, span in symbol_set.fixed_alignments.items():
         if not span:
             continue
-        try:
-            j = symbol_set.symbols.index(symbol)
-        except ValueError:
+        if symbol not in symbol_set.symbols:
             raise EmError(f"fixed alignment for {symbol!r} not in symbol set")
+        j = symbol_set.symbols.index(symbol)
         matrix[:, j] = 0.0
         matrix[list(span), j] = 1.0 / len(span)
         fixed.add(j)
-    return replace(posterior, matrix=matrix, fixed_columns=frozenset(fixed))
+    return AlignmentPosterior(matrix=matrix, num_symbols=l, mode="soft", tag_ids=tag_ids,
+                              fixed_columns=frozenset(fixed))
 
 
 def harden_posteriors(posterior: AlignmentPosterior, beta: float) -> AlignmentPosterior:

@@ -112,8 +112,13 @@ def resolve_config(raw: dict) -> dict:
     if not seeds or any(type(s) is not int for s in seeds):
         raise ExperimentError(f"config key 'seeds' must be a nonempty list of "
                               f"integers, got {seeds}")
+    if min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ExperimentError(f"config key 'seeds' must not hold a negative or repeated "
+                              f"seed, got {seeds}")
     if not models or any(m not in MODELS for m in models):
         raise ExperimentError(f"models must be drawn from {MODELS}, got {models}")
+    if len(set(models)) < len(models):
+        raise ExperimentError(f"config key 'models' must not repeat a model, got {models}")
     if top.workers < 1:
         raise ExperimentError("workers must be >= 1")
     return {

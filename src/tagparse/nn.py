@@ -6,8 +6,8 @@ blocks of the hidden size.  Every parameter comes from a source
 Glorot-uniform, drawn in call order, and each 1-d bias zero;
 `checkpoint.stored` hands a loaded model its checkpoint's arrays.
 
-Each encoder layer runs the sequences stacked row-wise through both of
-its directions as one fused `bilstm_sequence` autodiff node giving an
+The encoder runs the sequences stacked row-wise through both of its
+directions as one fused `bilstm_sequence` autodiff node giving an
 (N, 2 * hidden) matrix.  `LstmCell.step` advances B rows of
 packed (B, 2 * hidden) [h | c] state arrays by one step and records no
 graph.  The parser's decoder cell takes it once per output step in both
@@ -18,7 +18,7 @@ gradient through time.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class LstmCell:
     """One LSTM layer: Wx (4H, I), Wh (4H, H), b (4H,)."""
 
     def __init__(self, name: str, input_size: int, hidden_size: int, make: Make):
-        self.input_size = input_size
         self.hidden_size = hidden_size
         self.wx = make(f"{name}.wx", (4 * hidden_size, input_size))
         self.wh = make(f"{name}.wh", (4 * hidden_size, hidden_size))
@@ -87,30 +86,15 @@ class LstmCell:
 
 
 class BiLstmEncoder:
-    """Stacked bidirectional LSTM; per-word output is [forward; backward]."""
+    """Bidirectional LSTM; per-word output is [forward; backward]."""
 
-    def __init__(self, name: str, input_size: int, hidden_size: int,
-                 num_layers: int, make: Make):
-        if num_layers < 1:
-            raise ValueError(f"num_layers must be >= 1, got {num_layers}")
-        self.hidden_size = hidden_size
-        self.layers: List[Tuple[LstmCell, LstmCell]] = []
-        size = input_size
-        for k in range(num_layers):
-            fwd = LstmCell(f"{name}.l{k}.fwd", size, hidden_size, make)
-            bwd = LstmCell(f"{name}.l{k}.bwd", size, hidden_size, make)
-            self.layers.append((fwd, bwd))
-            size = 2 * hidden_size
+    def __init__(self, name: str, input_size: int, hidden_size: int, make: Make):
+        self.fwd = LstmCell(f"{name}.fwd", input_size, hidden_size, make)
+        self.bwd = LstmCell(f"{name}.bwd", input_size, hidden_size, make)
 
     def parameters(self) -> List[Tensor]:
-        out = []
-        for fwd, bwd in self.layers:
-            out.extend(fwd.parameters())
-            out.extend(bwd.parameters())
-        return out
+        return [*self.fwd.parameters(), *self.bwd.parameters()]
 
     def encode(self, xs: Tensor, lengths) -> Tensor:
         """Map (N, I) rows of sequences `lengths` long to (N, 2H) states."""
-        for fwd, bwd in self.layers:
-            xs = ad.bilstm_sequence(xs, fwd, bwd, lengths)
-        return xs
+        return ad.bilstm_sequence(xs, self.fwd, self.bwd, lengths)

@@ -8,7 +8,9 @@ Moments follow the standard bias-corrected update, b1 = 0.9, b2 = 0.999, eps = 1
 
 Gradients are clipped jointly (one global norm over all parameters) to
 5 before the moment updates.  A NaN or Inf gradient aborts the step with
-the offending parameter's name and the current step index.
+the offending parameter's name and the current step index; finite
+gradients whose squares overflow give an infinite norm, which clips the
+gradients to zero.
 """
 
 from __future__ import annotations
@@ -19,27 +21,11 @@ import numpy as np
 
 from .autodiff import Tensor
 
-__all__ = ["Adam", "OptimizerError", "clip_global_norm"]
+__all__ = ["Adam", "OptimizerError"]
 
 
 class OptimizerError(RuntimeError):
     """Raised when a gradient is non-finite at step time."""
-
-
-def clip_global_norm(grads: Dict[Tensor, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so their joint L2 norm is <= max_norm.
-
-    Returns the pre-clip global norm.
-    """
-    total_sq = 0.0
-    for g in grads.values():
-        total_sq += float((g * g).sum())
-    norm = float(np.sqrt(total_sq))
-    if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        for p in grads:
-            grads[p] = grads[p] * scale
-    return norm
 
 
 class Adam:
@@ -53,21 +39,23 @@ class Adam:
         self._v = {id(p): np.zeros_like(p.data) for p in self.params}
 
     def step(self, grads: Dict[Tensor, np.ndarray]) -> float:
-        """Apply one update from a {param: gradient} map (see autodiff.backward);
-        returns the global gradient norm before clipping."""
+        """Apply one update from a {param: gradient} map holding every parameter
+        (see autodiff.backward); returns the global gradient norm before clipping."""
+        total_sq = 0.0
         for p in self.params:
-            g = grads.get(p)
-            if g is not None and not np.all(np.isfinite(g)):
-                raise OptimizerError(
-                    f"non-finite gradient for parameter '{p.name}' at step {self.t + 1}")
-        norm = clip_global_norm(grads, self.clip_norm)
+            total_sq += float((grads[p] * grads[p]).sum())
+        norm = float(np.sqrt(total_sq))
+        if not np.isfinite(norm):        # a NaN or Inf entry, or a square that overflows
+            for p in self.params:
+                if not np.all(np.isfinite(grads[p])):
+                    raise OptimizerError(f"non-finite gradient for parameter '{p.name}' "
+                                         f"at step {self.t + 1}")
+        scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for p in self.params:
-            g = grads.get(p)
-            if g is None:
-                continue
+            g = grads[p] if scale == 1.0 else grads[p] * scale
             m = self._m[id(p)]
             v = self._v[id(p)]
             m *= self.beta1

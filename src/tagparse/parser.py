@@ -58,7 +58,6 @@ class ParserConfig:
     word_embedding_size: int = 200
     tag_embedding_size: int = 200
     hidden_size: int = 250
-    num_layers: int = 1
     use_tags: bool = True
     epochs: int = 20
     batch_size: int = 20
@@ -67,7 +66,7 @@ class ParserConfig:
 
     def __post_init__(self):
         for name in ("word_embedding_size", "tag_embedding_size",
-                     "hidden_size", "num_layers", "epochs", "batch_size"):
+                     "hidden_size", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not 0 < self.learning_rate < np.inf:       # NaN fails too
@@ -127,7 +126,7 @@ def _build(word_vocab: Vocab, out_vocab: Vocab, tag_vocab: TagVocabulary,
         config=config, formalism=formalism,
         word_emb=make("parser.word_emb", (len(word_vocab), we)),
         sym_emb=make("parser.sym_emb", (len(out_vocab), te)),
-        encoder=BiLstmEncoder("parser.enc", enc_input, h, config.num_layers, make),
+        encoder=BiLstmEncoder("parser.enc", enc_input, h, make),
         decoder=LstmCell("parser.dec", te + h, h, make),
         w_bridge=make("parser.w_bridge", (h, 2 * h)),
         b_bridge=make("parser.b_bridge", (h,)),
@@ -140,10 +139,8 @@ def _build(word_vocab: Vocab, out_vocab: Vocab, tag_vocab: TagVocabulary,
 
 
 def _tag_out_ids(params: ParserParams, tags) -> np.ndarray:
-    """Map tag ids or tag symbol strings onto shared-table row ids."""
-    symbols = [t if isinstance(t, str) else params.tag_vocab.symbol_of(t)
-               for t in tags]
-    return params.out_vocab.encode(symbols)
+    """Map tag ids onto shared-table row ids."""
+    return params.out_vocab.encode([params.tag_vocab.symbol_of(t) for t in tags])
 
 
 def embed_inputs(params: ParserParams, utterance, tags=None) -> Tensor:
@@ -164,8 +161,8 @@ def _start(params: ParserParams, utterances, tag_lists):
 
     Returns the encoder states of every utterance stacked row-wise (N, 2H),
     their attention keys (N, H), the (B, N) additive attention mask (0 on a
-    row's own utterance, -inf elsewhere; None when B is 1) and the (B, H)
-    first hidden state; the cell state and the first input feed are zero.
+    row's own utterance, -inf elsewhere; one zero row when B is 1) and the
+    (B, H) first hidden state; the cell state and the first input feed are zero.
     """
     inputs = [embed_inputs(params, u, t) for u, t in zip(utterances, tag_lists)]
     lengths = np.array([x.data.shape[0] for x in inputs])
@@ -176,10 +173,8 @@ def _start(params: ParserParams, utterances, tag_lists):
     summary = ad.concat([ad.cols(ad.embedding(enc, ends - 1), 0, h),
                          ad.cols(ad.embedding(enc, ends - lengths), h, 2 * h)], axis=1)
     h0 = ad.tanh(ad.linear(summary, params.w_bridge, params.b_bridge))
-    mask = None
-    if len(inputs) > 1:
-        owner = np.repeat(np.arange(len(inputs)), lengths)
-        mask = np.where(owner[None, :] == np.arange(len(inputs))[:, None], 0.0, -np.inf)
+    owner = np.repeat(np.arange(len(inputs)), lengths)
+    mask = np.where(owner[None, :] == np.arange(len(inputs))[:, None], 0.0, -np.inf)
     keys = ad.linear(enc, params.w_att)  # h @ keys.T is the bilinear h @ w_att @ enc.T
     return enc, keys, mask, h0
 
@@ -293,14 +288,14 @@ def decode(params: ParserParams, utterance, tags=None,
     sym_emb, w_comb, b_comb = params.sym_emb.data, params.w_comb.data, params.b_comb.data
     w_out, b_out = params.w_out.data, params.b_out.data
     with ad.no_grad():
-        enc, keys, _, h0 = _start(params, [utterance], [tags])
+        enc, keys, mask, h0 = _start(params, [utterance], [tags])
     enc, keys = enc.data, keys.data
     state, feed = np.concatenate([h0.data, np.zeros((1, H))], axis=1), np.zeros((1, H))
     prev, seqs, scores = [params.out_vocab.tok2id[BOS]], [()], np.zeros(1)
     completed = []                       # (score, token ids without the end marker)
     for _ in range(config.max_length):
         state = dec.step(np.concatenate([sym_emb[prev], feed], axis=1), state)
-        _, _, feed = ad._attend(state[:, :H], keys, enc, None, w_comb, b_comb)
+        _, _, feed = ad._attend(state[:, :H], keys, enc, mask, w_comb, b_comb)
         logp = np.log(np.maximum(ad._softmax(feed @ w_out.T + b_out), 1e-300))
         totals = (scores[:, None] + logp).ravel()
         best = np.argsort(-totals, kind="stable")[:config.beam_size]

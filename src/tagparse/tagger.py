@@ -73,10 +73,9 @@ class TagVocabulary:
 class TaggerConfig:
     embedding_size: int = 200
     hidden_size: int = 200
-    num_layers: int = 1
 
     def __post_init__(self):
-        for name in ("embedding_size", "hidden_size", "num_layers"):
+        for name in ("embedding_size", "hidden_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -110,7 +109,7 @@ def _build(word_vocab: Vocab, tag_vocab: TagVocabulary, config: TaggerConfig,
         tag_vocab=tag_vocab,
         config=config,
         embedding=make("tagger.emb", (len(word_vocab), e)),
-        encoder=BiLstmEncoder("tagger.enc", e, h, config.num_layers, make),
+        encoder=BiLstmEncoder("tagger.enc", e, h, make),
         w_out=make("tagger.w_out", (t, 2 * h)),
         u_out=make("tagger.u_out", (t, e)),
         b_out=make("tagger.b_out", (t,)),

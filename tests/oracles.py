@@ -6,21 +6,28 @@ one (1, 4H) row at a time, one sequence and one direction at a time, each
 bidirectional encoder layer with one concat per word, the tagger one
 utterance at a time, the parser and EM
 losses as the mean of per-example losses, the teacher-forced decoder as
-one small-op step at a time, and beam search with one decoder step per
-hypothesis.  Tests compare the library against them;
+one small-op step at a time, beam search with one decoder step per
+hypothesis, and Adam with a finite check and a clipping pass of their own
+before the update.  Tests compare the library against them;
 the package never uses them.  The autodiff ops that only tests need,
-`sigmoid`, `tsum`, `transpose`, `matmul` and `mul`, live here too, and
+`sigmoid`, `tsum`, `transpose`, `matmul` and `mul`, live here too, as
+does the finite-difference gradient check `finite_diff_check`;
 `sigmoid` computes the logistic function itself rather than through the
 library's one-tanh gate activation.
 """
 
+from __future__ import annotations
+
 import contextlib
 import functools
 from dataclasses import dataclass
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 
 from tagparse import autodiff as ad
+from tagparse.autodiff import Tensor, backward, no_grad
+from tagparse.optim import OptimizerError
 from tagparse.parser import BOS, EOS, DecodeResult, _start, embed_inputs
 from tagparse.tagger import tag_distribution
 
@@ -139,10 +146,8 @@ def gate_layer(xs, fwd, bwd, lengths):
 
 
 def gate_encode(encoder, xs):
-    """Stacked bidirectional encoding of one sequence with one concat per word."""
-    for fwd, bwd in encoder.layers:
-        xs = gate_layer(xs, fwd, bwd, [xs.data.shape[0]])
-    return xs
+    """Bidirectional encoding of one sequence with one concat per word."""
+    return gate_layer(xs, encoder.fwd, encoder.bwd, [xs.data.shape[0]])
 
 
 def gate_tag_distribution(params, words):
@@ -156,12 +161,12 @@ def gate_tag_distribution(params, words):
 
 @contextlib.contextmanager
 def per_gate_cells(cells):
-    """Swap each cell's array-level `step`, and each encoder layer of these
-    cells, for the per-gate chain.
+    """Swap each cell's array-level `step`, and each encoder of these cells,
+    for the per-gate chain.
 
-    A layer is one `ad.bilstm_sequence` call, so the swap replaces that op
-    for the layers whose cells are listed; the context yields a list that
-    records the (fwd, bwd) cells of each swapped layer run.
+    An encoder is one `ad.bilstm_sequence` call, so the swap replaces that op
+    for the encoders whose cells are listed; the context yields a list that
+    records the (fwd, bwd) cells of each swapped encoder run.
     """
     cells, fused, layers = list(cells), ad.bilstm_sequence, []
 
@@ -193,7 +198,7 @@ def per_gate_cells(cells):
 
 
 def parser_cells(params):
-    return [cell for layer in params.encoder.layers for cell in layer] + [params.decoder]
+    return [params.encoder.fwd, params.encoder.bwd, params.decoder]
 
 
 def sequence_loss(params, utterance, tags, target_ids):
@@ -349,3 +354,90 @@ def beam_decode(params, utterance, tags, config):
     return DecodeResult(tokens=tuple(params.out_vocab.decode(ids)), token_ids=ids,
                         score=best.score, truncated=truncated,
                         formalism=params.formalism)
+
+
+def clip_global_norm(grads: Dict[Tensor, np.ndarray], max_norm: float) -> float:
+    """Scale all gradients in place so their joint L2 norm is <= max_norm.
+
+    Returns the pre-clip global norm.
+    """
+    total_sq = 0.0
+    for g in grads.values():
+        total_sq += float((g * g).sum())
+    norm = float(np.sqrt(total_sq))
+    if max_norm > 0 and norm > max_norm:
+        scale = max_norm / norm
+        for p in grads:
+            grads[p] = grads[p] * scale
+    return norm
+
+
+class TwoPassAdam:
+    """Adam as `optim.Adam` computed it before its one-pass step: a finite
+    check over every gradient, then `clip_global_norm` (which rebinds the
+    map's gradients), then the update."""
+
+    beta1, beta2, eps, clip_norm = 0.9, 0.999, 1e-8, 5.0
+
+    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3):
+        self.params = list(params)
+        self.lr = lr
+        self.t = 0
+        self._m = {id(p): np.zeros_like(p.data) for p in self.params}
+        self._v = {id(p): np.zeros_like(p.data) for p in self.params}
+
+    def step(self, grads: Dict[Tensor, np.ndarray]) -> float:
+        for p in self.params:
+            g = grads.get(p)
+            if g is not None and not np.all(np.isfinite(g)):
+                raise OptimizerError(
+                    f"non-finite gradient for parameter '{p.name}' at step {self.t + 1}")
+        norm = clip_global_norm(grads, self.clip_norm)
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for p in self.params:
+            g = grads.get(p)
+            if g is None:
+                continue
+            m = self._m[id(p)]
+            v = self._v[id(p)]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        return norm
+
+
+def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
+                      num_coords: int = 50, h: float = 1e-6,
+                      rng: np.random.Generator | None = None) -> float:
+    """Compare backward gradients against central finite differences.
+
+    Independently of the backward pass, evaluates loss_fn forward-only at
+    +/-h perturbations of randomly sampled parameter coordinates and
+    returns the maximum relative error observed.  The denominator is
+    floored at 1e-3 so that coordinates whose true derivative is below
+    finite-difference resolution read as agreement, not noise.
+    """
+    rng = rng or np.random.default_rng(0)
+    analytic = backward(loss_fn(), params)
+    worst = 0.0
+    sized = [p for p in params if p.data.size > 0]
+    for _ in range(num_coords):
+        p = sized[rng.integers(len(sized))]
+        flat = p.data.reshape(-1)
+        i = int(rng.integers(flat.size))
+        orig = flat[i]
+        with no_grad():
+            flat[i] = orig + h
+            up = float(loss_fn().data)
+            flat[i] = orig - h
+            down = float(loss_fn().data)
+            flat[i] = orig
+        fd = (up - down) / (2.0 * h)
+        an = float(analytic[p].reshape(-1)[i])
+        err = abs(fd - an) / max(abs(fd), abs(an), 1e-3)
+        worst = max(worst, err)
+    return worst

@@ -29,6 +29,7 @@ from tagparse.nn import Vocab
 from tagparse.parser import EOS, _batch_loss
 from tagparse.tagger import TaggerConfig, TagVocabulary, init_tagger, tag_distribution
 
+from tests.oracles import finite_diff_check
 from tests.test_corpus import LAMBDA_ROW, SQL_ROW
 from tests.test_em import em_loss_setup, random_probs, symbol_set
 from tests.test_evaluation import CORRUPTIONS, corrupt, six_example_setup
@@ -158,9 +159,9 @@ def test_gradients_match_finite_differences():
     start = time.perf_counter()
     errs = {}
     for k, (name, (loss_fn, params)) in enumerate(setups.items()):
-        errs[name] = ad.finite_diff_check(loss_fn, params.parameters(),
-                                          num_coords=50, h=1e-6,
-                                          rng=np.random.default_rng(k))
+        errs[name] = finite_diff_check(loss_fn, params.parameters(),
+                                       num_coords=50, h=1e-6,
+                                       rng=np.random.default_rng(k))
     elapsed = time.perf_counter() - start
     worst = max(errs.values())
     ok = worst <= 1e-5 and elapsed < 60.0

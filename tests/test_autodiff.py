@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from tagparse import autodiff as ad
 
-from tests.oracles import affine, matmul, mul, sigmoid, transpose, tsum
+from tests.oracles import (affine, finite_diff_check, matmul, mul, sigmoid, transpose,
+                           tsum)
 
 
 def test_softmax_symmetry():
@@ -56,7 +57,7 @@ def test_cross_entropy_softmax_gradient_closed_form():
     loss = ad.cross_entropy(probs, onehot)
     g = ad.backward(loss, [logits])[logits]
     np.testing.assert_allclose(g, probs.data - onehot, atol=1e-12)
-    err = ad.finite_diff_check(
+    err = finite_diff_check(
         lambda: ad.cross_entropy(ad.softmax(logits), onehot),
         [logits], num_coords=5, rng=np.random.default_rng(1))
     assert err <= 1e-6
@@ -89,8 +90,8 @@ def test_random_three_layer_composition_matches_finite_differences():
         h2 = sigmoid(ad.add(matmul(h1, transpose(w2)), b))
         return ad.cross_entropy(ad.softmax(matmul(h2, transpose(w3))), target)
 
-    err = ad.finite_diff_check(loss, [w1, w2, w3, b], num_coords=40,
-                               rng=np.random.default_rng(3))
+    err = finite_diff_check(loss, [w1, w2, w3, b], num_coords=40,
+                            rng=np.random.default_rng(3))
     assert err <= 1e-6
 
 
@@ -118,8 +119,8 @@ def test_every_op_gradient_against_finite_differences():
         ce = ad.cross_entropy(p, weights)
         return ad.add(ce, mul(tsum(wide), 0.01))
 
-    err = ad.finite_diff_check(loss, [table, w, b, u, v], num_coords=50,
-                               rng=np.random.default_rng(5))
+    err = finite_diff_check(loss, [table, w, b, u, v], num_coords=50,
+                            rng=np.random.default_rng(5))
     assert err <= 1e-5
 
 

@@ -359,6 +359,24 @@ def test_meta_fault_named(tmp_path, kind, edit, message):
         load(path)
 
 
+@pytest.mark.parametrize("kind", ["tagger", "parser"])
+def test_checkpoint_with_a_layer_count_is_refused(tmp_path, kind):
+    # checkpoints from before the encoder lost its `num_layers` key stored it in
+    # their config and named the encoder's parameters `<model>.enc.l0.*`
+    path, load = saved_models(tmp_path)[kind]
+
+    def layered(doc, arrays):
+        doc["meta"]["config"]["num_layers"] = 1
+        rename = {name: name.replace(".enc.", ".enc.l0.") for name in arrays}
+        doc["params"] = {rename[name]: spec for name, spec in doc["params"].items()}
+        return doc, {rename[name]: a for name, a in arrays.items()}
+
+    edit_checkpoint(path, layered)
+    with pytest.raises(CheckpointError,
+                       match="^checkpoint config has unknown field 'num_layers'$"):
+        load(path)
+
+
 @pytest.mark.parametrize("fields, message", [
     ({"hidden_size": 2.5}, "field 'hidden_size' must be a JSON integer, not float"),
     ({"hidden_size": False}, "field 'hidden_size' must be a JSON integer, not bool"),

@@ -4,6 +4,7 @@ import pytest
 
 from tagparse.cli import main
 from tests.test_checkpoint import edit_checkpoint, edit_header
+from tests.test_experiment import tiny_config
 from tests.test_synthetic import cartesian_grammar
 
 LAMBDA_MEANING = ("( lambda $0 e ( and ( oneway $0 ) ( from $0 columbus:ci ) "
@@ -452,6 +453,22 @@ def test_run_experiment_command(tmp_path, capsys):
     assert code == 0
     assert "tagged: mean exact match" in out
     assert (out_dir / "report.tsv").is_file()
+
+
+@pytest.mark.parametrize("change", [{"seeds": [0, 0]}, {"seeds": [-1]},
+                                    {"models": ["tagged", "tagged"]}])
+def test_run_experiment_refuses_repeated_or_negative_seeds_and_repeated_models(
+        change, tmp_path, capsys):
+    # before any artifact is written: a repeated seed would write its directory
+    # twice and count twice in the mean, a negative one fails at its split
+    config_path, out_dir = tmp_path / "config.json", tmp_path / "run"
+    config_path.write_text(json.dumps(tiny_config(**{"models": ["tagged"], **change})))
+    code, _, err = run_cli(capsys, "run-experiment", "--config", str(config_path),
+                           "--out", str(out_dir))
+    assert code == 1
+    key = next(iter(change))
+    assert err.startswith(f"error: config key '{key}' must not ") and len(err.splitlines()) == 1
+    assert not out_dir.exists()
 
 
 BAD_EXPERIMENT_CONFIGS = {

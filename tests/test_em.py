@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from tagparse import autodiff as ad
 from tagparse.data import SymbolSet, gen_synthetic
 from tagparse.em import (AlignmentPosterior, EmConfig, EmError, _usable,
-                         compute_posteriors, em_loss, fix_linked_posteriors,
-                         gold_tag_ids, harden_posteriors, tag_accuracy,
-                         train_tagger)
+                         compute_posteriors, em_loss, gold_tag_ids,
+                         harden_posteriors, tag_accuracy, train_tagger)
 from tagparse.nn import Vocab
 from tagparse.optim import Adam
 from tagparse.tagger import (TaggerConfig, TagVocabulary, init_tagger,
                              predict_tags, tag_distribution)
 
+from tests.oracles import finite_diff_check
 from tests.test_synthetic import cartesian_grammar
 
 
@@ -134,18 +134,22 @@ def test_fixed_two_word_span_splits_mass():
 
 
 def test_no_links_returns_posterior_unchanged():
-    rng = np.random.default_rng(3)
-    post = compute_posteriors(random_probs(rng, 4, TV), symbol_set(["a"], 4), TV)
-    assert fix_linked_posteriors(post, symbol_set(["a"], 4)) is post
-    empty = fix_linked_posteriors(post, symbol_set(["a"], 4, fixed={"a": ()}))
-    np.testing.assert_array_equal(empty.matrix, post.matrix)
+    # without a link, or with an empty span, every column is the normalised likelihood
+    probs = random_probs(np.random.default_rng(3), 4, TV)
+    likelihood = np.maximum(probs[:, [TV.id_of("a"), TV.null_id, TV.null_id, TV.null_id]],
+                            ad.PROB_FLOOR)
+    for fixed in ({}, {"a": ()}):
+        post = compute_posteriors(probs, symbol_set(["a"], 4, fixed=fixed), TV)
+        np.testing.assert_array_equal(post.matrix,
+                                      likelihood / likelihood.sum(axis=0, keepdims=True))
+        assert post.fixed_columns == frozenset()
 
 
 def test_fixed_symbol_missing_from_set_errors():
     rng = np.random.default_rng(4)
-    post = compute_posteriors(random_probs(rng, 4, TV), symbol_set(["a"], 4), TV)
     with pytest.raises(EmError, match="not in symbol set"):
-        fix_linked_posteriors(post, symbol_set(["a"], 4, fixed={"zzz": (0,)}))
+        compute_posteriors(random_probs(rng, 4, TV),
+                           symbol_set(["a"], 4, fixed={"zzz": (0,)}), TV)
 
 
 def soft_posterior(columns, num_symbols, tag_ids, fixed=()):
@@ -278,8 +282,8 @@ def em_loss_setup(hard_phase):
 @pytest.mark.parametrize("hard_phase", [False, True])
 def test_em_loss_gradients_match_finite_differences(hard_phase):
     loss_fn, params = em_loss_setup(hard_phase)
-    err = ad.finite_diff_check(loss_fn, params.parameters(), num_coords=40,
-                               rng=np.random.default_rng(0))
+    err = finite_diff_check(loss_fn, params.parameters(), num_coords=40,
+                            rng=np.random.default_rng(0))
     assert err <= 1e-5
 
 

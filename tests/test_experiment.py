@@ -74,6 +74,20 @@ def test_resolve_rejects_bad_models_and_seeds():
         resolve_config({"workers": 0})
 
 
+@pytest.mark.parametrize("raw, message", [
+    ({"seeds": [0, 0]}, "'seeds' must not hold a negative or repeated seed, got [0, 0]"),
+    ({"seeds": [3, 1, 3]}, "'seeds' must not hold a negative or repeated seed, got [3, 1, 3]"),
+    ({"seeds": [-1]}, "'seeds' must not hold a negative or repeated seed, got [-1]"),
+    ({"models": ["tagged", "tagged"]},
+     "'models' must not repeat a model, got ['tagged', 'tagged']"),
+])
+def test_resolve_rejects_repeated_and_negative_seeds_and_repeated_models(raw, message):
+    # a repeated seed would write its directory twice and count twice in the
+    # mean; a negative one would fail only after the manifest is written
+    with pytest.raises(ExperimentError, match=f"^config key {re.escape(message)}$"):
+        resolve_config(raw)
+
+
 @pytest.mark.parametrize("key, value, kind", [
     ("anonymize", "no", "boolean"), ("anonymize", "false", "boolean"),
     ("anonymize", 0, "boolean"), ("workers", True, "integer"),

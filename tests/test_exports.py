@@ -41,6 +41,16 @@ def test_test_only_ops_stay_out_of_autodiff(name):
     assert not hasattr(importlib.import_module("tagparse.autodiff"), name)
 
 
+@pytest.mark.parametrize("module, name", [("tagparse.autodiff", "finite_diff_check"),
+                                          ("tagparse.optim", "clip_global_norm"),
+                                          ("tagparse.em", "fix_linked_posteriors")])
+def test_folded_and_test_only_helpers_stay_out_of_the_library(module, name):
+    # the gradient check lives in tests/oracles.py; Adam.step clips and
+    # compute_posteriors pins linked columns themselves
+    assert not hasattr(importlib.import_module(module), name)
+    assert name not in tagparse.__all__ and not hasattr(tagparse, name)
+
+
 def test_lstm_cell_has_no_sequence_run():
     # an encoder layer runs both of its cells inside `bilstm_sequence`
     assert not hasattr(importlib.import_module("tagparse.nn").LstmCell, "run")

@@ -15,10 +15,10 @@ from tagparse.parser import (BOS, EOS, DecodeConfig, ParserConfig, _batch_loss,
 from tagparse.tagger import (NULL_TAG, UNK_TAG, TaggerConfig, TagVocabulary,
                              init_tagger, predict_tags, tag_distribution)
 
-from tests.oracles import (affine, beam_decode, decoder_step, em_mean_loss, gate_layer,
-                           gate_step, gate_tag_distribution, mean_loss, mul,
-                           output_probs, parser_cells, per_gate_cells, row_blocks,
-                           start, step_loss, tsum)
+from tests.oracles import (affine, beam_decode, decoder_step, em_mean_loss,
+                           finite_diff_check, gate_layer, gate_step, gate_tag_distribution,
+                           mean_loss, mul, output_probs, parser_cells, per_gate_cells,
+                           row_blocks, start, step_loss, tsum)
 from tests.test_parser import UTT, tiny_parser
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -59,7 +59,7 @@ ragged = st.lists(st.integers(1, 7), min_size=1, max_size=5)
 
 
 @given(seed=seeds, H=hidden, lengths=ragged)
-def test_lstm_sequence_matches_per_gate_chain(seed, H, lengths):
+def test_bilstm_sequence_matches_per_gate_chain(seed, H, lengths):
     # one bilstm_sequence node against the per-gate chain, one sequence and
     # one direction at a time
     rng, cells, x = layer_and_inputs(seed, H, sum(lengths))
@@ -76,7 +76,7 @@ def test_lstm_sequence_matches_per_gate_chain(seed, H, lengths):
 
 
 @given(seed=seeds, H=hidden, lengths=ragged)
-def test_ragged_lstm_sequence_matches_separate_runs(seed, H, lengths):
+def test_ragged_bilstm_sequence_matches_separate_runs(seed, H, lengths):
     # stacking sequences of mixed lengths into one node changes no state or gradient
     rng, cells, x = layer_and_inputs(seed, H, sum(lengths))
     weights = rng.normal(size=(sum(lengths), 2 * H))
@@ -92,7 +92,7 @@ def test_ragged_lstm_sequence_matches_separate_runs(seed, H, lengths):
 
 
 @given(seed=seeds, H=hidden, lengths=ragged)
-def test_ragged_lstm_sequence_finite_differences(seed, H, lengths):
+def test_ragged_bilstm_sequence_finite_differences(seed, H, lengths):
     rng, cells, x = layer_and_inputs(seed, H, sum(lengths))
     target = rng.uniform(0.1, 1.0, size=(sum(lengths), 2 * H))
 
@@ -101,21 +101,21 @@ def test_ragged_lstm_sequence_finite_differences(seed, H, lengths):
         return mul(ad.cross_entropy(ad.softmax(ad.bilstm_sequence(x, *cells, lengths)),
                                     target), 1.0 / sum(lengths))
 
-    err = ad.finite_diff_check(loss, layer_params(x, cells), num_coords=30,
-                               rng=np.random.default_rng(seed))
+    err = finite_diff_check(loss, layer_params(x, cells), num_coords=30,
+                            rng=np.random.default_rng(seed))
     assert err <= 1e-5
 
 
 @pytest.mark.parametrize("lengths", [[2, 1], [3, 3], [3, 0, 1], [0, 4], [-1, 5], [[4]],
                                      np.array([[4]])])
-def test_lstm_sequence_rejects_lengths_that_do_not_split_the_rows(lengths):
+def test_bilstm_sequence_rejects_lengths_that_do_not_split_the_rows(lengths):
     cells = [LstmCell(name, 3, 2, lambda name, shape: ad.tensor(np.zeros(shape)))
              for name in "fb"]
     with pytest.raises(ad.ShapeError, match="lengths .* do not split 4 rows"):
         ad.bilstm_sequence(np.zeros((4, 3)), *cells, lengths)
 
 
-def test_lstm_sequence_over_no_rows_is_empty():
+def test_bilstm_sequence_over_no_rows_is_empty():
     _, cells, _ = layer_and_inputs(0, 2, 0)
     x = ad.parameter(np.zeros((0, 3)), "x")
     out = ad.bilstm_sequence(x, *cells, [])
@@ -135,7 +135,7 @@ def test_lstm_step_matches_per_gate_chain(seed, H, B):
 
 
 @given(seed=seeds, H=hidden, n=st.integers(1, 5))
-def test_lstm_sequence_finite_differences(seed, H, n):
+def test_bilstm_sequence_finite_differences(seed, H, n):
     rng, cells, x = layer_and_inputs(seed, H, n)
     target = rng.uniform(0.1, 1.0, size=(n, 2 * H))
 
@@ -144,19 +144,19 @@ def test_lstm_sequence_finite_differences(seed, H, n):
         return mul(ad.cross_entropy(ad.softmax(ad.bilstm_sequence(x, *cells, [n])), target),
                    1.0 / n)
 
-    err = ad.finite_diff_check(loss, layer_params(x, cells), num_coords=30,
-                               rng=np.random.default_rng(seed))
+    err = finite_diff_check(loss, layer_params(x, cells), num_coords=30,
+                            rng=np.random.default_rng(seed))
     assert err <= 1e-5
 
 
-@given(seed=seeds, lengths=ragged, num_layers=st.integers(1, 3))
-def test_encoder_layer_is_one_node_whatever_the_batch(seed, lengths, num_layers):
+@given(seed=seeds, lengths=ragged)
+def test_encoder_layer_is_one_node_whatever_the_batch(seed, lengths):
     rng = np.random.default_rng(seed)
-    encoder = BiLstmEncoder("e", 3, 2, num_layers, drawn(rng))
+    encoder = BiLstmEncoder("e", 3, 2, drawn(rng))
     x = ad.parameter(rng.normal(size=(sum(lengths), 3)), "x")
     nodes = graph_nodes(encoder.encode(x, lengths))
-    assert len(nodes) == num_layers
-    assert all(len(node.parents) == 7 for node in nodes)
+    assert len(nodes) == 1
+    assert nodes[0].parents == (x, *encoder.parameters())
 
 
 def random_batch(params, rng, size):
@@ -233,14 +233,15 @@ def test_attention_decoder_matches_per_step_oracle(seed, size, hidden_size, use_
         assert rel_err(grads[p], oracle[p]) <= 1e-9, p.name
 
 
-def decoder_args(arrays):
+def decoder_args(arrays, mask):
     """`attention_decoder`'s positional arguments from its inputs and weights by
-    name, the cell an `LstmCell` over the given `wx`, `wh` and `b` as tensors."""
+    name and its mask, the cell an `LstmCell` over the given `wx`, `wh` and `b`
+    as tensors."""
     inputs, hidden = (ad._coerce(arrays[k]).data.shape[1] for k in ("wx", "wh"))
     cell = LstmCell("dec", inputs, hidden,
                     lambda name, shape: ad._coerce(arrays[name.split(".")[1]]))
     return [arrays["inputs"], arrays["h0"], cell,
-            *(arrays[k] for k in ("keys", "enc", "w_comb", "b_comb"))]
+            *(arrays[k] for k in ("keys", "enc", "w_comb", "b_comb")), mask]
 
 
 @given(seed=seeds, B=st.integers(1, 3), T=st.integers(1, 4), H=st.integers(1, 4),
@@ -253,19 +254,20 @@ def test_attention_decoder_finite_differences(seed, B, T, H, masked):
               "b_comb": (H,)}
     arrays = {name: ad.parameter(rng.normal(size=shape), name)
               for name, shape in shapes.items()}
-    args = decoder_args(arrays)
-    mask = None
+    # unmasked, every row sees every encoder row; masked, row r sees encoder
+    # rows r .. N - 1, so every row sees at least two
+    mask = np.zeros((B, N))
     if masked:
-        # row r sees encoder rows r .. N - 1, so every row sees at least two
         mask = np.where(np.arange(N)[None, :] >= np.arange(B)[:, None], 0.0, -np.inf)
+    args = decoder_args(arrays, mask)
     target = rng.uniform(0.1, 1.0, size=(T * B, H))
 
     def loss():
-        return mul(ad.cross_entropy(ad.softmax(ad.attention_decoder(*args, mask=mask)),
+        return mul(ad.cross_entropy(ad.softmax(ad.attention_decoder(*args)),
                                     target), 1.0 / (T * B))
 
-    err = ad.finite_diff_check(loss, list(arrays.values()), num_coords=30,
-                               rng=np.random.default_rng(seed))
+    err = finite_diff_check(loss, list(arrays.values()), num_coords=30,
+                            rng=np.random.default_rng(seed))
     assert err <= 1e-5
 
 
@@ -275,16 +277,18 @@ def test_attention_decoder_rejects_mismatched_shapes():
           "b": (4 * H,), "keys": (N, H), "enc": (N, C), "w_comb": (H, H + C),
           "b_comb": (H,)}
 
-    def zeros(shapes):
-        return decoder_args({name: np.zeros(shape) for name, shape in shapes.items()})
+    def zeros(shapes, mask=(B, N)):
+        return decoder_args({name: np.zeros(shape) for name, shape in shapes.items()},
+                            np.zeros(mask))
 
     assert ad.attention_decoder(*zeros(ok)).data.shape == (3 * B, H)
     for name, shape in [("inputs", (5, E)), ("h0", (B,)), ("enc", (N,)), ("wx", (4 * H, E)),
                         ("keys", (N, H + 1)), ("w_comb", (H, H)), ("b_comb", (H + 1,))]:
         with pytest.raises(ad.ShapeError, match="attention_decoder: "):
             ad.attention_decoder(*zeros({**ok, name: shape}))
-    with pytest.raises(ad.ShapeError, match="attention_decoder: "):
-        ad.attention_decoder(*zeros(ok), mask=np.zeros((B, N - 1)))
+    for mask in [(B, N - 1), (1, N), (N,)]:
+        with pytest.raises(ad.ShapeError, match="attention_decoder: "):
+            ad.attention_decoder(*zeros(ok, mask))
 
 
 @given(seed=seeds, size=st.integers(1, 4), hidden_size=st.integers(2, 6),
@@ -332,9 +336,9 @@ def test_decode_tokens_match_per_gate_oracle(seed, hidden_size, use_tags, n):
 
             params.decoder.step = counted
             oracle = decode(params, utterance, tags, config)
-        # the one encoder pass reaches every swapped layer, and one step per
+        # the one encoder pass reaches the swapped encoder, and one step per
         # output token, plus the end marker's, reaches the swapped cell
-        assert layers == params.encoder.layers
+        assert layers == [(params.encoder.fwd, params.encoder.bwd)]
         assert len(calls) >= len(oracle.token_ids) + (not oracle.truncated)
         assert fused.token_ids == oracle.token_ids
         assert fused.truncated == oracle.truncated
@@ -425,7 +429,7 @@ def test_exact_beam_equals_exhaustive_enumeration(seed, hidden_size, use_tags, n
                           hidden_size=hidden_size, use_tags=use_tags, seed=seed)
     params = init_parser(Vocab(UTT), Vocab([BOS, EOS, NULL_TAG, UNK_TAG, "x"]),
                          TagVocabulary([]), config, "lambda")
-    tags = [NULL_TAG] * n if use_tags else None
+    tags = [TagVocabulary.null_id] * n if use_tags else None
     beam = len(params.out_vocab) ** max_length
     got = decode(params, UTT[:n], tags, DecodeConfig(beam_size=beam,
                                                      max_length=max_length))
@@ -491,12 +495,10 @@ def test_batched_em_loss_equals_mean_of_per_example_losses(seed, size, hard, lin
         assert rel_err(grads[p], oracle[p]) <= 1e-9, p.name
 
 
-@given(seed=seeds, lengths=ragged, hidden_size=hidden, num_layers=st.integers(1, 2))
-def test_batched_tagger_matches_per_utterance_oracle(seed, lengths, hidden_size,
-                                                     num_layers):
+@given(seed=seeds, lengths=ragged, hidden_size=hidden)
+def test_batched_tagger_matches_per_utterance_oracle(seed, lengths, hidden_size):
     params = init_tagger(Vocab(TAGGER_WORDS), TagVocabulary(TAGGER_SYMBOLS),
-                         TaggerConfig(embedding_size=4, hidden_size=hidden_size,
-                                      num_layers=num_layers), seed=seed)
+                         TaggerConfig(embedding_size=4, hidden_size=hidden_size), seed=seed)
     rng = np.random.default_rng(seed)
     params.b_out.data[:] = rng.normal(size=params.b_out.data.shape)
     # an unseen word takes the unknown row

@@ -5,6 +5,8 @@ import numpy as np
 from tagparse import autodiff as ad
 from tagparse.nn import BiLstmEncoder, LstmCell, Vocab, drawn
 
+from tests.oracles import finite_diff_check
+
 
 def test_vocab_roundtrip_and_unknown():
     v = Vocab(["from", "to", "from"])
@@ -16,7 +18,7 @@ def test_vocab_roundtrip_and_unknown():
 
 def test_single_token_runs_both_directions():
     rng = np.random.default_rng(42)
-    enc = BiLstmEncoder("enc", input_size=3, hidden_size=4, num_layers=1, make=drawn(rng))
+    enc = BiLstmEncoder("enc", input_size=3, hidden_size=4, make=drawn(rng))
     out = enc.encode(ad.tensor(rng.normal(size=(1, 3))), [1])
     assert out.data.shape == (1, 8)
     assert np.isfinite(out.data).all()
@@ -24,7 +26,7 @@ def test_single_token_runs_both_directions():
 
 def test_output_shape_n_by_twice_hidden():
     rng = np.random.default_rng(0)
-    enc = BiLstmEncoder("enc", input_size=5, hidden_size=150, num_layers=1, make=drawn(rng))
+    enc = BiLstmEncoder("enc", input_size=5, hidden_size=150, make=drawn(rng))
     out = enc.encode(ad.tensor(rng.normal(size=(7, 5))), [7])
     assert out.data.shape == (7, 300)
 
@@ -41,23 +43,22 @@ def test_reversal_swaps_directional_states():
     np.testing.assert_allclose(out[:, 4:], mirrored[::-1, :4], atol=1e-12)
 
 
-def test_stacked_layers_change_input_size():
-    rng = np.random.default_rng(2)
-    enc = BiLstmEncoder("enc", input_size=3, hidden_size=4, num_layers=2, make=drawn(rng))
-    assert enc.layers[1][0].input_size == 8
-    out = enc.encode(ad.tensor(rng.normal(size=(4, 3))), [4])
-    assert out.data.shape == (4, 8)
-
-
 def test_encoder_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
-    enc = BiLstmEncoder("enc", input_size=3, hidden_size=4, num_layers=1, make=drawn(rng))
+    enc = BiLstmEncoder("enc", input_size=3, hidden_size=4, make=drawn(rng))
     x = ad.tensor(rng.normal(size=(4, 3)))
     target = rng.uniform(0.1, 1.0, size=(4, 8))
 
     def loss():
         return ad.cross_entropy(ad.softmax(enc.encode(x, [4])), target)
 
-    err = ad.finite_diff_check(loss, enc.parameters(), num_coords=50,
-                               rng=np.random.default_rng(4))
+    err = finite_diff_check(loss, enc.parameters(), num_coords=50,
+                            rng=np.random.default_rng(4))
     assert err <= 1e-5
+
+
+def test_encoder_holds_one_cell_per_direction():
+    enc = BiLstmEncoder("enc", input_size=3, hidden_size=4, make=drawn(np.random.default_rng(2)))
+    assert [p.name for p in enc.parameters()] == [
+        f"enc.{d}.{w}" for d in ("fwd", "bwd") for w in ("wx", "wh", "b")]
+    assert enc.fwd.wx.data.shape == enc.bwd.wx.data.shape == (16, 3)
