@@ -7,7 +7,7 @@ from .corpus import (CorpusError, CorpusExample, EntitySpan, FORMALISMS,
                      tokenize_meaning, tokenize_utterance)
 from .loader import example_from_record, load_corpus, save_corpus
 from .splits import SplitError, SplitSpec, make_split
-from .symbols import MeaningParseError, entity_link, extract_symbols
+from .symbols import MeaningParseError, extract_symbols
 from .synthetic import SyntheticConfigError, default_grammar, gen_synthetic
 
 __all__ = [
@@ -17,6 +17,6 @@ __all__ = [
     "template_id_for", "tokenize_meaning", "tokenize_utterance",
     "example_from_record", "load_corpus", "save_corpus",
     "SplitError", "SplitSpec", "make_split",
-    "MeaningParseError", "entity_link", "extract_symbols",
+    "MeaningParseError", "extract_symbols",
     "SyntheticConfigError", "default_grammar", "gen_synthetic",
 ]

@@ -10,13 +10,21 @@ marker (ci0, ci1, ...) consistently in the utterance and the meaning,
 keeping the reverse map so predictions can be de-anonymized.  Template
 ids anonymize the meaning alone (markers numbered by first occurrence in
 the meaning), so the id is a pure function of the meaning representation.
+
+One entity-reference rule serves template ids, anonymization,
+de-anonymization and entity linking (`symbols`): a meaning token names
+an entity id when it is the id itself or the id as a quoted literal, and
+a token that names several ids names the first in the caller's order.
+`_entity_refs` builds that rule into one dict, so each token costs one
+lookup, and `_number_markers` numbers the markers for both template ids
+and anonymization.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "CorpusError",
@@ -143,47 +151,52 @@ def tokenize_meaning(text: str, formalism: str) -> Tuple[str, ...]:
     raise CorpusError(f"unknown formalism {formalism!r}")
 
 
-def _token_matches_entity(token: str, entity_id: str) -> bool:
-    """A meaning token refers to an entity directly or as a quoted literal."""
-    if token == entity_id:
-        return True
-    if len(token) >= 2 and token[0] == token[-1] and token[0] in "\"'":
-        return token[1:-1] == entity_id
-    return False
+def _is_quoted(token: str) -> bool:
+    """Whether a meaning token is a quoted literal ("x" or 'x')."""
+    return len(token) >= 2 and token[0] == token[-1] and token[0] in "\"'"
+
+
+def _entity_refs(entities: Iterable[tuple]) -> dict:
+    """Map every meaning token that names an entity id to that id's value.
+
+    A token names an id when it is the id itself or the id as a quoted
+    literal.  A token that names several ids maps to the first (id, value)
+    pair, so one dict lookup per token resolves it.
+    """
+    refs = {}
+    for ent_id, value in entities:
+        for form in (ent_id, f'"{ent_id}"', f"'{ent_id}'"):
+            refs.setdefault(form, value)
+    return refs
 
 
 def _replace_entity_token(token: str, marker: str) -> str:
     """Substitute a marker while preserving the token's quoting."""
-    if len(token) >= 2 and token[0] == token[-1] and token[0] in "\"'":
-        return token[0] + marker + token[-1]
-    return marker
+    return token[0] + marker + token[-1] if _is_quoted(token) else marker
+
+
+def _number_markers(spans: Iterable[EntitySpan]) -> Dict[str, str]:
+    """Typed numbered marker (ci0, ci1, ...) of each distinct entity id,
+    numbered per type in the order the spans come."""
+    counters: Dict[str, int] = {}
+    markers: Dict[str, str] = {}
+    for span in spans:
+        if span.entity_id not in markers:
+            k = counters.get(span.entity_type, 0)
+            counters[span.entity_type] = k + 1
+            markers[span.entity_id] = f"{span.entity_type}{k}"
+    return markers
 
 
 def template_id_for(meaning: MeaningRepresentation,
                     entities: Sequence[EntitySpan]) -> str:
     """Anonymized meaning string with markers numbered by meaning order."""
-    counters: Dict[str, int] = {}
-    assigned: Dict[str, str] = {}
-    out = []
-    by_id = {}
-    for span in entities:
-        by_id.setdefault(span.entity_id, span.entity_type)
-    for token in meaning.tokens:
-        hit = None
-        for ent_id, ent_type in by_id.items():
-            if _token_matches_entity(token, ent_id):
-                hit = (ent_id, ent_type)
-                break
-        if hit is None:
-            out.append(token)
-            continue
-        ent_id, ent_type = hit
-        if ent_id not in assigned:
-            k = counters.get(ent_type, 0)
-            counters[ent_type] = k + 1
-            assigned[ent_id] = f"{ent_type}{k}"
-        out.append(_replace_entity_token(token, assigned[ent_id]))
-    return " ".join(out)
+    refs = _entity_refs((span.entity_id, span) for span in entities)
+    named = [refs.get(token) for token in meaning.tokens]
+    markers = _number_markers(span for span in named if span is not None)
+    return " ".join([token if span is None
+                     else _replace_entity_token(token, markers[span.entity_id])
+                     for token, span in zip(meaning.tokens, named)])
 
 
 # Patterns for entity-like meaning tokens that anonymization should have
@@ -194,7 +207,7 @@ _LAMBDA_ENTITY = re.compile(r"^[a-z0-9_.+\-]+:[a-z]+$")
 def _looks_like_entity(token: str, formalism: str) -> bool:
     if formalism == "lambda":
         return bool(_LAMBDA_ENTITY.match(token))
-    return len(token) >= 2 and token[0] == token[-1] and token[0] in "\"'"
+    return _is_quoted(token)
 
 
 def anonymize_entities(example: CorpusExample) -> CorpusExample:
@@ -206,63 +219,50 @@ def anonymize_entities(example: CorpusExample) -> CorpusExample:
     utterance span are left verbatim and flag the example.
     """
     utt = example.utterance
+    formalism = example.meaning.formalism
     if not utt.entity_spans:
-        new_flagged = any(_looks_like_entity(t, example.meaning.formalism)
-                          for t in example.meaning.tokens)
+        new_flagged = any(_looks_like_entity(t, formalism) for t in example.meaning.tokens)
         return example if not new_flagged else replace(example, flagged=True)
 
-    counters: Dict[str, int] = {}
-    marker_for: Dict[str, str] = {}
-    entity_map: Dict[str, dict] = {}
+    spans = sorted(utt.entity_spans, key=lambda s: s.start)
+    starts = {span.start: span for span in spans}
+    first: Dict[str, EntitySpan] = {}
+    for span in spans:
+        first.setdefault(span.entity_id, span)
+    markers = _number_markers(first.values())
+    entity_map = {markers[ent_id]: {"utterance": list(utt.tokens[span.start:span.end]),
+                                    "id": ent_id, "type": span.entity_type}
+                  for ent_id, span in first.items()}
+
     new_tokens: List[str] = []
     new_spans: List[EntitySpan] = []
     old_to_new: List[int] = []
-    pos = 0
-    spans = sorted(utt.entity_spans, key=lambda s: s.start)
-    span_iter = iter(spans)
-    current = next(span_iter, None)
     i = 0
     while i < utt.n:
-        if current is not None and i == current.start:
-            ent_id = current.entity_id
-            if ent_id not in marker_for:
-                k = counters.get(current.entity_type, 0)
-                counters[current.entity_type] = k + 1
-                marker = f"{current.entity_type}{k}"
-                marker_for[ent_id] = marker
-                entity_map[marker] = {
-                    "utterance": list(utt.tokens[current.start:current.end]),
-                    "id": ent_id,
-                    "type": current.entity_type,
-                }
-            marker = marker_for[ent_id]
-            new_tokens.append(marker)
-            new_spans.append(EntitySpan(pos, pos + 1, marker, current.entity_type))
-            old_to_new.extend([pos] * (current.end - i))
-            pos += 1
-            i = current.end
-            current = next(span_iter, None)
-        else:
+        pos = len(new_tokens)
+        span = starts.get(i)
+        if span is None:
             new_tokens.append(utt.tokens[i])
             old_to_new.append(pos)
-            pos += 1
             i += 1
+            continue
+        marker = markers[span.entity_id]
+        new_tokens.append(marker)
+        new_spans.append(EntitySpan(pos, pos + 1, marker, span.entity_type))
+        old_to_new.extend([pos] * (span.end - i))
+        i = span.end
 
+    refs = _entity_refs((ent_id, markers[ent_id]) for ent_id in first)
     flagged = example.flagged
     new_meaning_tokens: List[str] = []
     for token in example.meaning.tokens:
-        hit = None
-        for ent_id, marker in marker_for.items():
-            if _token_matches_entity(token, ent_id):
-                hit = marker
-                break
-        if hit is not None:
-            entity_map[hit].setdefault("meaning", token)
-            new_meaning_tokens.append(_replace_entity_token(token, hit))
-        else:
-            if _looks_like_entity(token, example.meaning.formalism):
-                flagged = True
+        marker = refs.get(token)
+        if marker is None:
+            flagged = flagged or _looks_like_entity(token, formalism)
             new_meaning_tokens.append(token)
+        else:
+            entity_map[marker].setdefault("meaning", token)
+            new_meaning_tokens.append(_replace_entity_token(token, marker))
 
     # Collapsed spans shift word positions, so every index-bearing field
     # must be remapped onto the marker positions.
@@ -271,8 +271,7 @@ def anonymize_entities(example: CorpusExample) -> CorpusExample:
     return replace(
         example,
         utterance=Utterance(tuple(new_tokens), tuple(new_spans)),
-        meaning=MeaningRepresentation(tuple(new_meaning_tokens),
-                                      example.meaning.formalism),
+        meaning=MeaningRepresentation(tuple(new_meaning_tokens), formalism),
         entity_map=entity_map,
         flagged=flagged,
         **remapped,
@@ -331,22 +330,13 @@ def deanonymize_example(example: CorpusExample) -> CorpusExample:
 
 def deanonymize_tokens(tokens: Sequence[str],
                        entity_map: Optional[Dict[str, dict]]) -> Tuple[str, ...]:
-    """Invert anonymize_entities on a meaning token sequence."""
+    """Invert anonymize_entities on a meaning token sequence.
+
+    A marker, bare or re-quoted by a prediction, is restored to its
+    original meaning token verbatim (that token carries its own quoting).
+    """
     if not entity_map:
         return tuple(tokens)
-    out = []
-    for token in tokens:
-        restored = token
-        for marker, info in entity_map.items():
-            original = info.get("meaning", info["id"])
-            if token == marker:
-                restored = original
-                break
-            if len(token) >= 2 and token[0] == token[-1] and token[0] in "\"'" \
-                    and token[1:-1] == marker:
-                # Prediction re-quoted the marker; restore the original token
-                # verbatim (it carries its own quoting).
-                restored = original
-                break
-        out.append(restored)
-    return tuple(out)
+    refs = _entity_refs((marker, info.get("meaning", info["id"]))
+                        for marker, info in entity_map.items())
+    return tuple(refs.get(token, token) for token in tokens)

@@ -10,8 +10,9 @@ One object per line:
 
 `entities` and `gold_alignment` are optional.  Spans are token index
 ranges [start, end) over the lowercased, whitespace-split utterance.
-Loading extracts each example's symbol set, computes entity links, and
-assigns the anonymized-meaning template id.
+Loading reads each meaning once for its symbol set and entity links
+(`symbols.linked_symbol_set`), and assigns the anonymized-meaning
+template id.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import json
 from typing import List, Optional
 
 from .corpus import (CorpusError, CorpusExample, EntitySpan, FORMALISMS,
-                     MeaningRepresentation, SymbolSet, Utterance,
-                     template_id_for, tokenize_meaning, tokenize_utterance)
-from .symbols import entity_link, extract_symbols
+                     MeaningRepresentation, Utterance, template_id_for,
+                     tokenize_meaning, tokenize_utterance)
+from .symbols import linked_symbol_set
 
 __all__ = ["example_from_record", "load_corpus", "save_corpus"]
 
@@ -89,21 +90,14 @@ def example_from_record(record: dict, example_id: int) -> CorpusExample:
 
     meaning = MeaningRepresentation(
         tokenize_meaning(record["meaning"], formalism), formalism)
-    symbols = tuple(extract_symbols(meaning))
-    example = CorpusExample(
+    return CorpusExample(
         example_id=example_id,
         utterance=utterance,
         meaning=meaning,
-        symbol_set=SymbolSet(symbols, padded_length=utterance.n),
+        symbol_set=linked_symbol_set(meaning, utterance.entity_spans, utterance.n),
         template_id=template_id_for(meaning, utterance.entity_spans),
         gold_alignment=_gold_alignment(record.get("gold_alignment"), utterance.n),
     )
-    return _with_links(example)
-
-
-def _with_links(example: CorpusExample) -> CorpusExample:
-    from dataclasses import replace
-    return replace(example, symbol_set=entity_link(example))
 
 
 def load_corpus(path) -> List[CorpusExample]:

@@ -1,31 +1,38 @@
 """Atomic-symbol extraction from logical forms and entity-linking rules.
 
-Lambda calculus: symbols are predicate heads, the token following an
-opening parenthesis, minus a stop list of structural operators.  SQL:
-symbols are column names, read from the select list, filter left-hand
-sides, and group/order clauses of a flat SELECT subset; table names,
-aggregates, keywords, and literal values are never symbols.
+Each form is read once, and that one reading gives both the symbols and
+the entity links.
+
+Lambda calculus: one pass records every ( ... ) group in opening order.
+A group's head is the atom right after its "("; a group that opens with
+a nested group has no head.  Symbols are the distinct heads minus a stop
+list of structural operators and $ variables.  SQL: one clause scanner
+labels every non-keyword token with its clause (select, from, filter, or
+the columns after group by / order by).  Symbols are the column names of
+the select, filter and column clauses of a flat SELECT subset; table
+names, aggregates, keywords, and literal values are never symbols.
 
 Entity linking fixes alignments before EM ever runs:
-  rule 1 (lambda)  a predicate whose sole entity argument matches an
-                   annotated utterance span aligns to that span;
-  rule 2 (SQL)     a filter column compared to a value that matches an
+  rule 1 (lambda)  a group's head whose sole entity argument among the
+                   group's other top-level atoms names an annotated
+                   utterance span aligns to that span;
+  rule 2 (SQL)     a filter column compared to a value that names an
                    annotated span aligns to that span.
+A meaning token names an entity by the one rule `corpus` applies
+everywhere: it is the entity id, bare or as a quoted literal.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import replace
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
-from .corpus import (CorpusExample, MeaningRepresentation, SymbolSet,
-                     _token_matches_entity)
+from .corpus import EntitySpan, MeaningRepresentation, SymbolSet, _entity_refs
 
 __all__ = [
     "MeaningParseError",
     "extract_symbols",
-    "entity_link",
+    "linked_symbol_set",
 ]
 
 
@@ -50,157 +57,98 @@ SQL_AGGREGATES = frozenset({"count", "min", "max", "avg", "sum"})
 
 _SQL_COMPARATORS = frozenset({"=", "<", ">", "<=", ">=", "!=", "<>", "like"})
 
+# A column name; quoted and numeric literals never match it.
 _IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 
-
-def _is_sql_literal(token: str) -> bool:
-    if len(token) >= 2 and token[0] == token[-1] and token[0] in "\"'":
-        return True
-    return bool(re.match(r"^\d+(\.\d+)?$", token))
+# A symbol with the meaning tokens that may name its entity.
+Candidate = Tuple[str, Sequence[str]]
 
 
-def extract_symbols(meaning: MeaningRepresentation) -> List[str]:
-    """Ordered distinct atomic symbols of a logical form."""
-    if meaning.formalism == "lambda":
-        return _extract_lambda(meaning.tokens)
-    return _extract_sql(meaning.tokens)
-
-
-def _extract_lambda(tokens: Sequence[str]) -> List[str]:
-    depth = 0
-    out: List[str] = []
-    seen: Set[str] = set()
-    prev_open = False
+def _lambda_groups(tokens: Sequence[str]) -> List[list]:
+    """Every group in opening order, as [head or None, other top-level atoms]."""
+    groups: List[list] = []
+    stack: List[list] = []
+    head_next = False
     for token in tokens:
         if token == "(":
-            depth += 1
-            prev_open = True
-            continue
-        if token == ")":
-            depth -= 1
-            if depth < 0:
-                raise MeaningParseError("unbalanced parentheses: extra ')'")
-            prev_open = False
-            continue
-        if prev_open and token not in LAMBDA_OPERATORS and not token.startswith("$"):
-            if token not in seen:
-                seen.add(token)
-                out.append(token)
-        prev_open = False
-    if depth != 0:
-        raise MeaningParseError("unbalanced parentheses: missing ')'")
-    return out
-
-
-def _extract_sql(tokens: Sequence[str]) -> List[str]:
-    if not tokens or tokens[0].lower() != "select":
-        raise MeaningParseError("SQL form must start with select")
-    out: List[str] = []
-    seen: Set[str] = set()
-    # Segments whose identifiers are columns; "from" identifiers are tables.
-    state = None
-    pending_by = False
-    for token in tokens:
-        low = token.lower()
-        if low in ("group", "order"):
-            pending_by = True
-            continue
-        if pending_by and low == "by":
-            state = "columns"
-            pending_by = False
-            continue
-        pending_by = False
-        if low == "select":
-            state = "select"
-            continue
-        if low == "from":
-            state = "from"
-            continue
-        if low in ("where", "having"):
-            state = "filter"
-            continue
-        if state in ("select", "filter", "columns") \
-                and _IDENTIFIER.match(token) \
-                and low not in SQL_KEYWORDS \
-                and low not in SQL_AGGREGATES \
-                and not _is_sql_literal(token):
-            if token not in seen:
-                seen.add(token)
-                out.append(token)
-    return out
-
-
-def _lambda_groups(tokens: Sequence[str]) -> List[List[str]]:
-    """Immediate argument tokens of every (head arg...) group, head first.
-
-    Nested sub-expressions contribute their own group; inside the parent
-    they are represented by nothing (only top-level atoms are arguments).
-    """
-    stack: List[List[str]] = []
-    groups: List[List[str]] = []
-    for token in tokens:
-        if token == "(":
-            stack.append([])
+            stack.append([None, []])
+            groups.append(stack[-1])
+            head_next = True
         elif token == ")":
             if not stack:
                 raise MeaningParseError("unbalanced parentheses: extra ')'")
-            groups.append(stack.pop())
-        else:
-            if stack:
-                stack[-1].append(token)
+            stack.pop()
+            head_next = False
+        elif head_next:
+            stack[-1][0] = token
+            head_next = False
+        elif stack:
+            stack[-1][1].append(token)
     if stack:
         raise MeaningParseError("unbalanced parentheses: missing ')'")
     return groups
 
 
-def entity_link(example: CorpusExample) -> SymbolSet:
-    """Return the example's SymbolSet with rule-based fixed alignments."""
-    spans = example.utterance.entity_spans
-    sset = example.symbol_set
-    if not spans:
-        return sset
-    symbol_order = set(sset.symbols)
+def _sql_clauses(tokens: Sequence[str]) -> Iterator[Tuple[int, str, str]]:
+    """(index, token, clause) for every token that is not a clause keyword."""
+    if not tokens or tokens[0].lower() != "select":
+        raise MeaningParseError("SQL form must start with select")
+    clause = "select"
+    pending_by = False
+    for i, token in enumerate(tokens):
+        low = token.lower()
+        if low in ("group", "order"):
+            pending_by = True
+            continue
+        if pending_by and low == "by":
+            clause = "columns"
+            pending_by = False
+            continue
+        pending_by = False
+        if low in ("select", "from"):
+            clause = low
+        elif low in ("where", "having"):
+            clause = "filter"
+        else:
+            yield i, token, clause
+
+
+def _read(meaning: MeaningRepresentation) -> Tuple[List[str], List[Candidate]]:
+    """Ordered distinct symbols, and every linking candidate, in one pass."""
+    tokens = meaning.tokens
+    if meaning.formalism == "lambda":
+        candidates = [(head, args) for head, args in _lambda_groups(tokens)
+                      if head is not None and head not in LAMBDA_OPERATORS
+                      and not head.startswith("$")]
+        return list(dict.fromkeys(head for head, _ in candidates)), candidates
+    symbols: Dict[str, None] = {}
+    compared: List[Candidate] = []
+    last = len(tokens) - 1
+    for i, token, clause in _sql_clauses(tokens):
+        low = token.lower()
+        if clause == "filter" and low in _SQL_COMPARATORS and i < last:
+            compared.append((tokens[i - 1], (tokens[i + 1],)))
+        elif clause != "from" and _IDENTIFIER.match(token) \
+                and low not in SQL_KEYWORDS and low not in SQL_AGGREGATES:
+            symbols[token] = None
+    return list(symbols), [c for c in compared if c[0] in symbols]
+
+
+def extract_symbols(meaning: MeaningRepresentation) -> List[str]:
+    """Ordered distinct atomic symbols of a logical form."""
+    return _read(meaning)[0]
+
+
+def linked_symbol_set(meaning: MeaningRepresentation, spans: Sequence[EntitySpan],
+                      padded_length: int) -> SymbolSet:
+    """The form's symbols, with rule-based fixed alignments to `spans`."""
+    symbols, candidates = _read(meaning)
     fixed: Dict[str, Set[int]] = {}
-
-    def link(symbol: str, span) -> None:
-        fixed.setdefault(symbol, set()).update(range(span.start, span.end))
-
-    if example.meaning.formalism == "lambda":
-        for group in _lambda_groups(example.meaning.tokens):
-            if not group or group[0] not in symbol_order:
-                continue
-            head, args = group[0], group[1:]
-            matches = []
-            for arg in args:
-                for span in spans:
-                    if _token_matches_entity(arg, span.entity_id):
-                        matches.append(span)
-                        break
-            # Rule 1 wants a sole entity argument.
-            if len(matches) == 1:
-                link(head, matches[0])
-    else:
-        tokens = example.meaning.tokens
-        state = None
-        for i, token in enumerate(tokens):
-            low = token.lower()
-            if low in ("where", "having"):
-                state = "filter"
-                continue
-            if low in ("group", "order", "select", "from"):
-                state = None
-                continue
-            if state == "filter" and low in _SQL_COMPARATORS and 0 < i < len(tokens) - 1:
-                column, value = tokens[i - 1], tokens[i + 1]
-                if column in symbol_order:
-                    for span in spans:
-                        if _token_matches_entity(value, span.entity_id):
-                            link(column, span)
-                            break
-
-    if not fixed:
-        return sset
-    merged = dict(sset.fixed_alignments)
-    for symbol, indices in fixed.items():
-        merged[symbol] = tuple(sorted(set(merged.get(symbol, ())) | indices))
-    return replace(sset, fixed_alignments=merged)
+    if spans:
+        refs = _entity_refs((span.entity_id, span) for span in spans)
+        for symbol, tokens in candidates:
+            named = [span for span in map(refs.get, tokens) if span is not None]
+            if len(named) == 1:
+                fixed.setdefault(symbol, set()).update(range(named[0].start, named[0].end))
+    return SymbolSet(tuple(symbols), padded_length,
+                     {symbol: tuple(sorted(indices)) for symbol, indices in fixed.items()})

@@ -25,6 +25,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .data import (CorpusError, MeaningParseError, MeaningRepresentation,
                    anonymize_entities, extract_symbols, load_corpus,
                    tokenize_meaning)
+from .data.corpus import _is_quoted
 
 __all__ = ["ERROR_CLASSES", "EvalError", "Verdict", "EvalReport",
            "normalize_tokens", "exact_match", "classify_error", "evaluate",
@@ -40,9 +41,7 @@ class EvalError(ValueError):
 
 def _canonical_token(token: str) -> str:
     # String literals may arrive single- or double-quoted.
-    if len(token) >= 2 and token[0] == token[-1] and token[0] in "'\"":
-        return '"' + token[1:-1] + '"'
-    return token
+    return '"' + token[1:-1] + '"' if _is_quoted(token) else token
 
 
 def normalize_tokens(meaning) -> Tuple[str, ...]:

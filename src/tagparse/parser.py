@@ -340,6 +340,9 @@ def parse(tagger_params: Optional[TaggerParams], parser_params: ParserParams,
     if parser_params.config.use_tags:
         if tagger_params is None:
             raise ParserError("tag-augmented parsing needs a trained tagger")
+        if tagger_params.tag_vocab.id2sym != parser_params.tag_vocab.id2sym:
+            raise ParserError("the tagger's tag vocabulary differs from the one "
+                              "this parser was trained with")
         tag_ids = predict_tags(tagger_params, [utterance])[0]
         tag_names = tuple(tagger_params.tag_vocab.symbol_of(i) for i in tag_ids)
     else:

@@ -8,7 +8,10 @@ utterance at a time, the parser and EM
 losses as the mean of per-example losses, the teacher-forced decoder as
 one small-op step at a time, beam search with one decoder step per
 hypothesis, and Adam with a finite check and a clipping pass of their own
-before the update.  Tests compare the library against them;
+before the update.  The data layer's old functions are here too: the
+symbol extractor and the entity linker each with a reader of its own,
+and template ids, anonymization, de-anonymization and normalization each
+with its own entity-reference scan.  Tests compare the library against them;
 the package never uses them.  The autodiff ops that only tests need,
 `sigmoid`, `tsum`, `transpose`, `matmul` and `mul`, live here too, as
 does the finite-difference gradient check `finite_diff_check`;
@@ -20,13 +23,18 @@ from __future__ import annotations
 
 import contextlib
 import functools
-from dataclasses import dataclass
-from typing import Callable, Dict, Sequence
+import re
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from tagparse import autodiff as ad
 from tagparse.autodiff import Tensor, backward, no_grad
+from tagparse.data.corpus import (CorpusExample, EntitySpan, MeaningRepresentation,
+                                  SymbolSet, Utterance, _LAMBDA_ENTITY, _remap_alignments)
+from tagparse.data.symbols import (_IDENTIFIER, _SQL_COMPARATORS, LAMBDA_OPERATORS,
+                                   SQL_AGGREGATES, SQL_KEYWORDS, MeaningParseError)
 from tagparse.optim import OptimizerError
 from tagparse.parser import BOS, EOS, DecodeResult, _start, embed_inputs
 from tagparse.tagger import tag_distribution
@@ -441,3 +449,331 @@ def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
         err = abs(fd - an) / max(abs(fd), abs(an), 1e-3)
         worst = max(worst, err)
     return worst
+
+
+# The data layer before it read each logical form once: the symbol
+# extractor and the entity linker each parsed the form with a reader of
+# its own, and each entity-reference site scanned every entity per token.
+
+
+def _token_matches_entity(token: str, entity_id: str) -> bool:
+    """A meaning token refers to an entity directly or as a quoted literal."""
+    if token == entity_id:
+        return True
+    if len(token) >= 2 and token[0] == token[-1] and token[0] in "\"'":
+        return token[1:-1] == entity_id
+    return False
+
+
+def _replace_entity_token(token: str, marker: str) -> str:
+    """Substitute a marker while preserving the token's quoting."""
+    if len(token) >= 2 and token[0] == token[-1] and token[0] in "\"'":
+        return token[0] + marker + token[-1]
+    return marker
+
+
+def template_id_for(meaning: MeaningRepresentation,
+                    entities: Sequence[EntitySpan]) -> str:
+    """Anonymized meaning string with markers numbered by meaning order."""
+    counters: Dict[str, int] = {}
+    assigned: Dict[str, str] = {}
+    out = []
+    by_id = {}
+    for span in entities:
+        by_id.setdefault(span.entity_id, span.entity_type)
+    for token in meaning.tokens:
+        hit = None
+        for ent_id, ent_type in by_id.items():
+            if _token_matches_entity(token, ent_id):
+                hit = (ent_id, ent_type)
+                break
+        if hit is None:
+            out.append(token)
+            continue
+        ent_id, ent_type = hit
+        if ent_id not in assigned:
+            k = counters.get(ent_type, 0)
+            counters[ent_type] = k + 1
+            assigned[ent_id] = f"{ent_type}{k}"
+        out.append(_replace_entity_token(token, assigned[ent_id]))
+    return " ".join(out)
+
+
+def _looks_like_entity(token: str, formalism: str) -> bool:
+    if formalism == "lambda":
+        return bool(_LAMBDA_ENTITY.match(token))
+    return len(token) >= 2 and token[0] == token[-1] and token[0] in "\"'"
+
+
+def anonymize_entities(example: CorpusExample) -> CorpusExample:
+    """Replace each distinct entity with a typed numbered marker.
+
+    Markers are numbered by first appearance in the utterance and applied
+    consistently to utterance and meaning.  The reverse map is retained on
+    the returned example.  Entity-like meaning tokens with no matching
+    utterance span are left verbatim and flag the example.
+    """
+    utt = example.utterance
+    if not utt.entity_spans:
+        new_flagged = any(_looks_like_entity(t, example.meaning.formalism)
+                          for t in example.meaning.tokens)
+        return example if not new_flagged else replace(example, flagged=True)
+
+    counters: Dict[str, int] = {}
+    marker_for: Dict[str, str] = {}
+    entity_map: Dict[str, dict] = {}
+    new_tokens: List[str] = []
+    new_spans: List[EntitySpan] = []
+    old_to_new: List[int] = []
+    pos = 0
+    spans = sorted(utt.entity_spans, key=lambda s: s.start)
+    span_iter = iter(spans)
+    current = next(span_iter, None)
+    i = 0
+    while i < utt.n:
+        if current is not None and i == current.start:
+            ent_id = current.entity_id
+            if ent_id not in marker_for:
+                k = counters.get(current.entity_type, 0)
+                counters[current.entity_type] = k + 1
+                marker = f"{current.entity_type}{k}"
+                marker_for[ent_id] = marker
+                entity_map[marker] = {
+                    "utterance": list(utt.tokens[current.start:current.end]),
+                    "id": ent_id,
+                    "type": current.entity_type,
+                }
+            marker = marker_for[ent_id]
+            new_tokens.append(marker)
+            new_spans.append(EntitySpan(pos, pos + 1, marker, current.entity_type))
+            old_to_new.extend([pos] * (current.end - i))
+            pos += 1
+            i = current.end
+            current = next(span_iter, None)
+        else:
+            new_tokens.append(utt.tokens[i])
+            old_to_new.append(pos)
+            pos += 1
+            i += 1
+
+    flagged = example.flagged
+    new_meaning_tokens: List[str] = []
+    for token in example.meaning.tokens:
+        hit = None
+        for ent_id, marker in marker_for.items():
+            if _token_matches_entity(token, ent_id):
+                hit = marker
+                break
+        if hit is not None:
+            entity_map[hit].setdefault("meaning", token)
+            new_meaning_tokens.append(_replace_entity_token(token, hit))
+        else:
+            if _looks_like_entity(token, example.meaning.formalism):
+                flagged = True
+            new_meaning_tokens.append(token)
+
+    # Collapsed spans shift word positions, so every index-bearing field
+    # must be remapped onto the marker positions.
+    remapped = _remap_alignments(example, lambda k: (old_to_new[k],),
+                                 padded_length=len(new_tokens))
+    return replace(
+        example,
+        utterance=Utterance(tuple(new_tokens), tuple(new_spans)),
+        meaning=MeaningRepresentation(tuple(new_meaning_tokens),
+                                      example.meaning.formalism),
+        entity_map=entity_map,
+        flagged=flagged,
+        **remapped,
+    )
+
+
+def deanonymize_tokens(tokens: Sequence[str],
+                       entity_map: Optional[Dict[str, dict]]) -> Tuple[str, ...]:
+    """Invert anonymize_entities on a meaning token sequence."""
+    if not entity_map:
+        return tuple(tokens)
+    out = []
+    for token in tokens:
+        restored = token
+        for marker, info in entity_map.items():
+            original = info.get("meaning", info["id"])
+            if token == marker:
+                restored = original
+                break
+            if len(token) >= 2 and token[0] == token[-1] and token[0] in "\"'" \
+                    and token[1:-1] == marker:
+                # Prediction re-quoted the marker; restore the original token
+                # verbatim (it carries its own quoting).
+                restored = original
+                break
+        out.append(restored)
+    return tuple(out)
+
+
+def _is_sql_literal(token: str) -> bool:
+    if len(token) >= 2 and token[0] == token[-1] and token[0] in "\"'":
+        return True
+    return bool(re.match(r"^\d+(\.\d+)?$", token))
+
+
+def extract_symbols(meaning: MeaningRepresentation) -> List[str]:
+    """Ordered distinct atomic symbols of a logical form."""
+    if meaning.formalism == "lambda":
+        return _extract_lambda(meaning.tokens)
+    return _extract_sql(meaning.tokens)
+
+
+def _extract_lambda(tokens: Sequence[str]) -> List[str]:
+    depth = 0
+    out: List[str] = []
+    seen: Set[str] = set()
+    prev_open = False
+    for token in tokens:
+        if token == "(":
+            depth += 1
+            prev_open = True
+            continue
+        if token == ")":
+            depth -= 1
+            if depth < 0:
+                raise MeaningParseError("unbalanced parentheses: extra ')'")
+            prev_open = False
+            continue
+        if prev_open and token not in LAMBDA_OPERATORS and not token.startswith("$"):
+            if token not in seen:
+                seen.add(token)
+                out.append(token)
+        prev_open = False
+    if depth != 0:
+        raise MeaningParseError("unbalanced parentheses: missing ')'")
+    return out
+
+
+def _extract_sql(tokens: Sequence[str]) -> List[str]:
+    if not tokens or tokens[0].lower() != "select":
+        raise MeaningParseError("SQL form must start with select")
+    out: List[str] = []
+    seen: Set[str] = set()
+    # Segments whose identifiers are columns; "from" identifiers are tables.
+    state = None
+    pending_by = False
+    for token in tokens:
+        low = token.lower()
+        if low in ("group", "order"):
+            pending_by = True
+            continue
+        if pending_by and low == "by":
+            state = "columns"
+            pending_by = False
+            continue
+        pending_by = False
+        if low == "select":
+            state = "select"
+            continue
+        if low == "from":
+            state = "from"
+            continue
+        if low in ("where", "having"):
+            state = "filter"
+            continue
+        if state in ("select", "filter", "columns") \
+                and _IDENTIFIER.match(token) \
+                and low not in SQL_KEYWORDS \
+                and low not in SQL_AGGREGATES \
+                and not _is_sql_literal(token):
+            if token not in seen:
+                seen.add(token)
+                out.append(token)
+    return out
+
+
+def _lambda_groups(tokens: Sequence[str]) -> List[List[str]]:
+    """Immediate argument tokens of every (head arg...) group, head first.
+
+    Nested sub-expressions contribute their own group; inside the parent
+    they are represented by nothing (only top-level atoms are arguments).
+    """
+    stack: List[List[str]] = []
+    groups: List[List[str]] = []
+    for token in tokens:
+        if token == "(":
+            stack.append([])
+        elif token == ")":
+            if not stack:
+                raise MeaningParseError("unbalanced parentheses: extra ')'")
+            groups.append(stack.pop())
+        else:
+            if stack:
+                stack[-1].append(token)
+    if stack:
+        raise MeaningParseError("unbalanced parentheses: missing ')'")
+    return groups
+
+
+def entity_link(example: CorpusExample) -> SymbolSet:
+    """Return the example's SymbolSet with rule-based fixed alignments."""
+    spans = example.utterance.entity_spans
+    sset = example.symbol_set
+    if not spans:
+        return sset
+    symbol_order = set(sset.symbols)
+    fixed: Dict[str, Set[int]] = {}
+
+    def link(symbol: str, span) -> None:
+        fixed.setdefault(symbol, set()).update(range(span.start, span.end))
+
+    if example.meaning.formalism == "lambda":
+        for group in _lambda_groups(example.meaning.tokens):
+            if not group or group[0] not in symbol_order:
+                continue
+            head, args = group[0], group[1:]
+            matches = []
+            for arg in args:
+                for span in spans:
+                    if _token_matches_entity(arg, span.entity_id):
+                        matches.append(span)
+                        break
+            # Rule 1 wants a sole entity argument.
+            if len(matches) == 1:
+                link(head, matches[0])
+    else:
+        tokens = example.meaning.tokens
+        state = None
+        for i, token in enumerate(tokens):
+            low = token.lower()
+            if low in ("where", "having"):
+                state = "filter"
+                continue
+            if low in ("group", "order", "select", "from"):
+                state = None
+                continue
+            if state == "filter" and low in _SQL_COMPARATORS and 0 < i < len(tokens) - 1:
+                column, value = tokens[i - 1], tokens[i + 1]
+                if column in symbol_order:
+                    for span in spans:
+                        if _token_matches_entity(value, span.entity_id):
+                            link(column, span)
+                            break
+
+    if not fixed:
+        return sset
+    merged = dict(sset.fixed_alignments)
+    for symbol, indices in fixed.items():
+        merged[symbol] = tuple(sorted(set(merged.get(symbol, ())) | indices))
+    return replace(sset, fixed_alignments=merged)
+
+
+def _canonical_token(token: str) -> str:
+    # String literals may arrive single- or double-quoted.
+    if len(token) >= 2 and token[0] == token[-1] and token[0] in "'\"":
+        return '"' + token[1:-1] + '"'
+    return token
+
+
+def normalize_tokens(meaning) -> Tuple[str, ...]:
+    """Lowercased tokens, whitespace collapsed, literals double-quoted."""
+    if isinstance(meaning, MeaningRepresentation):
+        meaning = meaning.tokens
+    if isinstance(meaning, str):
+        meaning = meaning.split()
+    return tuple(_canonical_token(t.lower()) for t in meaning if t)

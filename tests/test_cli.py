@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tagparse.cli import main
+from tagparse.tagger import TaggerConfig, TagVocabulary, init_tagger, load_tagger, save_tagger
 from tests.test_checkpoint import edit_checkpoint, edit_header
 from tests.test_experiment import tiny_config
 from tests.test_synthetic import cartesian_grammar
@@ -36,13 +37,13 @@ def pipeline(tmp_path_factory):
         "pred_base": root / "pred_base.jsonl",
         "report": root / "report.json",
     }
-    json.dump(cartesian_grammar(2, 3, 1), paths["grammar"].open("w"))
-    json.dump({"seed": 0, "total_updates": 80, "soft_updates": 40,
-               "batch_size": 4, "learning_rate": 0.02}, paths["em"].open("w"))
-    json.dump({"embedding_size": 8, "hidden_size": 8}, paths["tcfg"].open("w"))
-    json.dump({"word_embedding_size": 10, "tag_embedding_size": 10,
-               "hidden_size": 16, "epochs": 30, "batch_size": 3,
-               "learning_rate": 0.02, "seed": 0}, paths["pcfg"].open("w"))
+    paths["grammar"].write_text(json.dumps(cartesian_grammar(2, 3, 1)))
+    paths["em"].write_text(json.dumps({"seed": 0, "total_updates": 80, "soft_updates": 40,
+                                       "batch_size": 4, "learning_rate": 0.02}))
+    paths["tcfg"].write_text(json.dumps({"embedding_size": 8, "hidden_size": 8}))
+    paths["pcfg"].write_text(json.dumps({"word_embedding_size": 10, "tag_embedding_size": 10,
+                                         "hidden_size": 16, "epochs": 30, "batch_size": 3,
+                                         "learning_rate": 0.02, "seed": 0}))
     steps = [
         ["gen-synthetic", "--grammar", str(paths["grammar"]), "--seed", "0",
          "--out", str(paths["corpus"])],
@@ -297,6 +298,20 @@ def test_parse_tagged_checkpoint_requires_tagger(pipeline, capsys):
                            "--parser", str(pipeline["parser"]))
     assert code == 1
     assert "--tagger" in err
+
+
+def test_parse_with_another_corpus_tagger_is_one_line_error(pipeline, tmp_path, capsys):
+    # a tagger whose tag ids name other symbols than the parser was trained on
+    other = tmp_path / "other_tagger.json"
+    words = load_tagger(pipeline["tagger"]).word_vocab
+    save_tagger(other, init_tagger(words, TagVocabulary(["latest", "cheapest"]),
+                                   TaggerConfig(8, 8)))
+    code, _, err = run_cli(capsys, "parse",
+                           "--corpus", str(pipeline["corpus"]),
+                           "--tagger", str(other), "--parser", str(pipeline["parser"]))
+    assert code == 1
+    assert err.splitlines() == ["error: the tagger's tag vocabulary differs from the one "
+                                "this parser was trained with"]
 
 
 def test_parse_with_bad_checkpoint_is_one_line_error(pipeline, tmp_path, capsys):

@@ -11,7 +11,7 @@ from tagparse.optim import Adam
 from tagparse.parser import (BOS, EOS, DecodeConfig, ParserConfig,
                              ParserError, decode, embed_inputs, init_parser, load_parser,
                              parse, save_parser, train_parser)
-from tagparse.tagger import NULL_TAG, TaggerConfig, TagVocabulary
+from tagparse.tagger import NULL_TAG, TaggerConfig, TagVocabulary, init_tagger
 
 from tests.oracles import decoder_step, output_probs, start
 from tests.test_synthetic import cartesian_grammar
@@ -278,6 +278,23 @@ def test_parse_deanonymizes_markers():
             restored += 1
         assert "ci0" in result.anonymized_tokens or result.truncated
     assert restored == len(corpus)                   # each gets ITS entity back
+
+
+@pytest.mark.parametrize("symbols", [["shape0", "pred1"], ["shape0", "to", "pred1"],
+                                     ["shape0", "pred1", "to", "from"]])
+def test_parse_refuses_a_tagger_with_another_tag_vocabulary(symbols):
+    # the parser embeds tag ids through its own copy of the tagger's vocabulary,
+    # so another tagger's ids would name other symbols, or none
+    tagger = init_tagger(Vocab(UTT), TagVocabulary(symbols), TaggerConfig(4, 4))
+    with pytest.raises(ParserError, match="tag vocabulary differs"):
+        parse(tagger, tiny_parser(), UTT, DecodeConfig(beam_size=1, max_length=5))
+
+
+def test_parse_takes_a_tagger_with_the_same_tag_vocabulary():
+    tagger = init_tagger(Vocab(UTT), TagVocabulary(["shape0", "pred1", "to"]),
+                         TaggerConfig(4, 4))
+    result = parse(tagger, tiny_parser(), UTT, DecodeConfig(beam_size=1, max_length=5))
+    assert len(result.tags) == len(UTT)
 
 
 def test_baseline_variant_full_pipeline():

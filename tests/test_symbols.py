@@ -3,7 +3,7 @@
 import pytest
 
 from tagparse.data import (MeaningParseError, MeaningRepresentation,
-                           entity_link, example_from_record, extract_symbols,
+                           example_from_record, extract_symbols,
                            gen_synthetic, tokenize_meaning)
 from tests.test_corpus import LAMBDA_ROW, SQL_ROW
 
@@ -68,7 +68,7 @@ def test_extraction_invariants_on_synthetic_corpus():
 
 def test_lambda_entity_links():
     ex = example_from_record(LAMBDA_ROW, 0)
-    fixed = entity_link(ex).fixed_alignments
+    fixed = ex.symbol_set.fixed_alignments
     assert fixed["day"] == (6,)
     assert fixed["from"] == (0,)
     assert fixed["to"] == (2,)
@@ -77,7 +77,7 @@ def test_lambda_entity_links():
 
 def test_sql_entity_link():
     ex = example_from_record(SQL_ROW, 0)
-    fixed = entity_link(ex).fixed_alignments
+    fixed = ex.symbol_set.fixed_alignments
     assert fixed["state_name"] == (5,)
     assert "area" not in fixed
 
@@ -90,7 +90,7 @@ def test_lambda_two_entity_arguments_not_linked():
         "entities": [{"span": [2, 3], "id": "boston:ci", "type": "ci"},
                      {"span": [4, 5], "id": "denver:ci", "type": "ci"}],
     }
-    fixed = entity_link(example_from_record(record, 0)).fixed_alignments
+    fixed = example_from_record(record, 0).symbol_set.fixed_alignments
     assert "connect" not in fixed  # rule 1 needs a sole entity argument
 
 
@@ -101,7 +101,7 @@ def test_multiword_span_links_all_indices():
         "formalism": "lambda",
         "entities": [{"span": [2, 5], "id": "new_york:ci", "type": "ci"}],
     }
-    fixed = entity_link(example_from_record(record, 0)).fixed_alignments
+    fixed = example_from_record(record, 0).symbol_set.fixed_alignments
     assert fixed["to"] == (2, 3, 4)
 
 
@@ -119,5 +119,4 @@ def test_no_spans_leaves_symbol_set_unchanged():
     record = {"utterance": "list flights", "formalism": "lambda",
               "meaning": "( lambda $0 e ( flight $0 ) )"}
     ex = example_from_record(record, 0)
-    assert entity_link(ex) is ex.symbol_set
     assert ex.symbol_set.fixed_alignments == {}
