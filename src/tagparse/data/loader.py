@@ -48,6 +48,9 @@ def _entity_span(ent) -> EntitySpan:
             and isinstance(ent.get("type"), str)):
         raise CorpusError(f"malformed entity annotation {ent!r:.60}: need a 'span' of "
                           f"two integers and string 'id' and 'type'")
+    if ent["type"][-1:].isdigit():
+        raise CorpusError(f"entity type {ent['type']!r:.40} ends in a digit, so its "
+                          f"numbered markers could equal another type's")
     return EntitySpan(span[0], span[1], ent["id"], ent["type"])
 
 

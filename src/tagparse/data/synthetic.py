@@ -24,13 +24,32 @@ mirroring the entity-linking rules).
 
 The full slot product is enumerated in a fixed order, shuffled with the
 seed, and optionally capped, so a (config, seed) pair names one corpus.
+Each template is compiled once (its fixed tokens and slots, its aligned
+references, its meaning's slot markers; each lexicon entry's lowercased
+words), and only the combinations the cap keeps are instantiated, each
+once, in enumeration order.  An entity type may not end in a digit, since
+its numbered markers could equal another type's ('c1' + '0' = 'c' + '10').
+
+The cap does not hide errors: a grammar either builds its corpus or
+raises the first error that instantiating every combination in order
+would raise.  So the combinations that could fail are instantiated as they
+are enumerated, whether the cap keeps them or not:
+
+- every combination with a fill that has no word or has an aligned word,
+  or with a predicate whose symbol is an aligned symbol;
+- every combination whose predicates repeat a symbol;
+- of the rest, the "plain" combinations, each template's first.  Plain
+  combinations give the gold alignment the shape that the template alone
+  sets, so either all of them fail, with one message, or none does (an
+  aligned ref that names no slot, an aligned word that the fixed tokens
+  lack, an alignment that is not injective).
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,64 +75,120 @@ def _slots_in(pattern: str):
     return found
 
 
-def _instantiate(template: dict, formalism: str, pred_fill: Dict[str, dict],
-                 ent_fill: Dict[str, dict]) -> dict:
-    utt_tokens: List[str] = []
-    entities = []
-    slot_span: Dict[str, range] = {}
-    for token in template["utterance"].split():
-        m = _SLOT.match(token)
-        if not m:
-            utt_tokens.append(token.lower())
-            continue
-        slot = token.strip("<>")
-        if m.group(1) == "P":
-            words = pred_fill[slot]["word"].lower().split()
-        else:
-            words = ent_fill[slot]["word"].lower().split()
-        start = len(utt_tokens)
-        utt_tokens.extend(words)
-        slot_span[slot] = range(start, len(utt_tokens))
-        if m.group(1) == "E":
-            ent = ent_fill[slot]
-            entities.append({"span": [start, len(utt_tokens)],
-                             "id": ent["id"], "type": ent["type"]})
+class _Template:
+    """A template compiled once: everything instantiating one of its
+    combinations reads that does not depend on the combination.
 
-    meaning = template["meaning"]
-    for slot, pred in pred_fill.items():
-        meaning = meaning.replace(f"<{slot}>", pred["symbol"])
-    for slot, ent in ent_fill.items():
-        meaning = meaning.replace(f"<{slot}>", ent["id"])
+    A combination is a tuple of predicate indices, one per <Pk> occurrence
+    in the utterance, and a tuple of entity indices, one per <Ek>
+    occurrence.  A slot that occurs twice takes the fill of its last
+    occurrence, and its span is that of its last occurrence."""
 
-    gold: Dict[str, List[int]] = {}
-    for slot, pred in pred_fill.items():
-        gold[pred["symbol"]] = list(slot_span[slot])
-    for symbol, ref in (template.get("aligned") or {}).items():
-        m = _SLOT.match(ref)
-        if m:
-            if ref.strip("<>") not in slot_span:
-                raise SyntheticConfigError(
-                    f"aligned ref {ref} not a slot of template {template['utterance']!r}")
-            gold[symbol] = list(slot_span[ref.strip("<>")])
-        else:
-            word = ref.lower()
-            if word not in utt_tokens:
+    def __init__(self, template: dict, formalism: str, lexicon: "_Lexicon"):
+        self.text = template["utterance"]
+        self.meaning = template["meaning"]
+        self.formalism = formalism
+        self.lexicon = lexicon
+        runs: List[List[str]] = [[]]         # fixed tokens before, between, after slots
+        slots: List[str] = []
+        for token in self.text.split():
+            if _SLOT.match(token):
+                slots.append(token.strip("<>"))
+                runs.append([])
+            else:
+                runs[-1].append(token.lower())
+        self.slots = slots
+        self.p_slots = [s for s in slots if s.startswith("P")]
+        self.e_slots = [s for s in slots if s.startswith("E")]
+        # where each slot's fill sits in its combination tuple, and the step
+        # of its last occurrence
+        fill = {**{s: (True, k) for k, s in enumerate(self.p_slots)},
+                **{s: (False, k) for k, s in enumerate(self.e_slots)}}
+        step = {s: k for k, s in enumerate(slots)}
+        self.head = runs[0]
+        self.steps = [(*fill[s], run) for s, run in zip(slots, runs[1:])]
+        # meaning slots are replaced at string level, predicates first
+        self.markers = [(f"<{s}>", *fill[s]) for s in dict.fromkeys(self.p_slots + self.e_slots)]
+        self.pred_gold = [(fill[s][1], step[s]) for s in dict.fromkeys(self.p_slots)]
+        # (symbol, step, word, ref): a slot ref's step, a word ref's
+        # lowercased word, or the error of a ref that names no slot
+        self.aligned: List[tuple] = []
+        for symbol, ref in (template.get("aligned") or {}).items():
+            if not _SLOT.match(ref):
+                self.aligned.append((symbol, None, ref.lower(), ref))
+            elif ref.strip("<>") in step:
+                self.aligned.append((symbol, step[ref.strip("<>")], None, ref))
+            else:
+                self.aligned.append((symbol, None, None, SyntheticConfigError(
+                    f"aligned ref {ref} not a slot of template {self.text!r}")))
+
+    def plain(self) -> Tuple[List[bool], List[bool]]:
+        """Per predicate and per entity: whether the entry leaves the gold
+        alignment the shape the template alone sets: it has at least one
+        word and no aligned word, and a predicate's symbol is not aligned."""
+        words = {word for _, _, word, _ in self.aligned if word is not None}
+        symbols = {symbol for symbol, _, _, _ in self.aligned}
+        lex = self.lexicon
+        preds = [bool(w) and words.isdisjoint(w) and s not in symbols
+                 for w, s in zip(lex.pred_words, lex.symbols)]
+        ents = [bool(w) and words.isdisjoint(w) for w in lex.ent_words]
+        return preds, ents
+
+    def instantiate(self, pred_combo: Tuple[int, ...], ent_combo: Tuple[int, ...]) -> dict:
+        lex = self.lexicon
+        utt_tokens = list(self.head)
+        entities = []
+        spans = []
+        for is_pred, k, run in self.steps:
+            start = len(utt_tokens)
+            if is_pred:
+                utt_tokens += lex.pred_words[pred_combo[k]]
+            else:
+                e = ent_combo[k]
+                utt_tokens += lex.ent_words[e]
+                entities.append({"span": [start, len(utt_tokens)],
+                                 "id": lex.ids[e], "type": lex.types[e]})
+            spans.append(range(start, len(utt_tokens)))
+            utt_tokens += run
+
+        meaning = self.meaning
+        for marker, is_pred, k in self.markers:
+            meaning = meaning.replace(marker, lex.symbols[pred_combo[k]] if is_pred
+                                      else lex.ids[ent_combo[k]])
+
+        gold = {lex.symbols[pred_combo[k]]: list(spans[step]) for k, step in self.pred_gold}
+        for symbol, step, word, ref in self.aligned:
+            if step is not None:
+                gold[symbol] = list(spans[step])
+            elif word is None:
+                raise ref
+            elif word in utt_tokens:
+                gold[symbol] = [utt_tokens.index(word)]
+            else:
                 raise SyntheticConfigError(
                     f"aligned word {ref!r} absent from {' '.join(utt_tokens)!r}")
-            gold[symbol] = [utt_tokens.index(word)]
 
-    used: set = set()
-    for symbol, indices in gold.items():
-        if used & set(indices):
+        used = [i for indices in gold.values() for i in indices]
+        if len(set(used)) != len(used):
             raise SyntheticConfigError(
-                f"gold alignment not injective in template {template['utterance']!r}")
-        used.update(indices)
+                f"gold alignment not injective in template {self.text!r}")
 
-    record = {"utterance": " ".join(utt_tokens), "meaning": meaning,
-              "formalism": formalism, "gold_alignment": gold}
-    if entities:
-        record["entities"] = entities
-    return record
+        record = {"utterance": " ".join(utt_tokens), "meaning": meaning,
+                  "formalism": self.formalism, "gold_alignment": gold}
+        if entities:
+            record["entities"] = entities
+        return record
+
+
+class _Lexicon:
+    """The lexicon entries' fields, each entry's words lowercased and split once."""
+
+    def __init__(self, predicates: List[dict], entities: List[dict]):
+        self.pred_words = [p["word"].lower().split() for p in predicates]
+        self.symbols = [p["symbol"] for p in predicates]
+        self.ent_words = [e["word"].lower().split() for e in entities]
+        self.ids = [e["id"] for e in entities]
+        self.types = [e["type"] for e in entities]
 
 
 def _entries(config: dict, key: str, fields: Sequence[str],
@@ -162,44 +237,70 @@ def gen_synthetic(config: Optional[dict] = None, seed: int = 0) -> List[CorpusEx
         raise SyntheticConfigError(
             f"max_examples must be an integer >= 0, got {cap!r:.60}")
 
-    records: List[dict] = []
+    for k, entity in enumerate(entities):
+        if entity["type"][-1:].isdigit():
+            raise SyntheticConfigError(
+                f"entities[{k}] type {entity['type']!r:.40} ends in a digit, so its "
+                f"numbered markers could equal another type's")
+
+    # Enumerate.  A combination that could fail is instantiated on the spot,
+    # so the first error comes in enumeration order whatever the cap keeps;
+    # the rest wait for the cut.
+    lexicon = _Lexicon(predicates, entities)
+    combos: List[tuple] = []
+    records: List[Optional[dict]] = []
     for template in templates:
-        slots = _slots_in(template["utterance"])
-        p_slots = [s for s in slots if s.startswith("P")]
-        e_slots = [s for s in slots if s.startswith("E")]
+        t = _Template(template, formalism, lexicon)
         for slot in _slots_in(template["meaning"]):
-            if slot not in slots:
+            if slot not in t.slots:
                 raise SyntheticConfigError(
-                    f"meaning slot <{slot}> missing from utterance "
-                    f"{template['utterance']!r}")
-        if p_slots and not predicates:
+                    f"meaning slot <{slot}> missing from utterance {t.text!r}")
+        if t.p_slots and not predicates:
             raise SyntheticConfigError("empty predicate lexicon")
-        if e_slots and not entities:
+        if t.e_slots and not entities:
             raise SyntheticConfigError("empty entity lexicon")
 
         types = template.get("types") or {}
-        e_choices = []
-        for slot in e_slots:
-            pool = [e for e in entities
+        pools = []
+        for slot in t.e_slots:
+            pool = [k for k, e in enumerate(entities)
                     if slot not in types or e["type"] == types[slot]]
             if not pool:
                 raise SyntheticConfigError(f"no entities of type {types.get(slot)!r}")
-            e_choices.append(pool)
+            pools.append(pool)
 
-        # permutations/product of zero slots yield one empty combo each.
-        for pred_combo in itertools.permutations(predicates, len(p_slots)):
-            for ent_combo in itertools.product(*e_choices):
-                if len({e["id"] for e in ent_combo}) != len(ent_combo):
-                    continue  # distinct entities per example
-                records.append(_instantiate(
-                    template, formalism,
-                    dict(zip(p_slots, pred_combo)),
-                    dict(zip(e_slots, ent_combo))))
+        # A combination of plain entries (see _Template.plain) with distinct
+        # predicate symbols gives the gold alignment the shape the template
+        # alone sets, so the first such combination fails if any does, and
+        # with the same message.  Every other combination is checked.
+        pred_plain, ent_plain = t.plain()
+        unchecked = True                      # no plain combination instantiated yet
+        # permutations/product of zero slots yield one empty combo each
+        ent_combos = [(ec, all(ent_plain[k] for k in ec))
+                      for ec in itertools.product(*pools)
+                      if len({lexicon.ids[k] for k in ec}) == len(ec)]  # distinct entities
+        for pc in itertools.permutations(range(len(predicates)), len(t.p_slots)):
+            pc_plain = (all(pred_plain[k] for k in pc)
+                        and len({lexicon.symbols[k] for k in pc}) == len(pc))
+            for ec, ec_plain in ent_combos:
+                plain = pc_plain and ec_plain
+                if unchecked or not plain:
+                    records.append(t.instantiate(pc, ec))
+                    unchecked = unchecked and not plain
+                else:
+                    records.append(None)
+                combos.append((t, pc, ec))
 
+    # Cut, then instantiate what the cut keeps.
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(records))
+    order = rng.permutation(len(combos))
     if cap is not None:
         order = order[:cap]
+    order = order.tolist()
+    for i in sorted(order):
+        if records[i] is None:
+            t, pc, ec = combos[i]
+            records[i] = t.instantiate(pc, ec)
     return [example_from_record(records[i], example_id=k)
             for k, i in enumerate(order)]
 

@@ -8,9 +8,10 @@ Moments follow the standard bias-corrected update, b1 = 0.9, b2 = 0.999, eps = 1
 
 Gradients are clipped jointly (one global norm over all parameters) to
 5 before the moment updates.  A NaN or Inf gradient aborts the step with
-the offending parameter's name and the current step index; finite
-gradients whose squares overflow give an infinite norm, which clips the
-gradients to zero.
+the offending parameter's name and the current step index.  When finite
+gradients have squares that overflow, the norm is taken again over the
+gradients divided by their largest magnitude, so the step clips them
+instead of zeroing them.
 """
 
 from __future__ import annotations
@@ -28,6 +29,19 @@ class OptimizerError(RuntimeError):
     """Raised when a gradient is non-finite at step time."""
 
 
+def _rescaled_clip(grads: Sequence[np.ndarray], clip_norm: float):
+    """(norm, clip scale) of finite gradients whose squares overflow, from
+    the gradients divided by their largest magnitude.  The norm may still
+    be infinite; the scale is not zero."""
+    largest = max(float(np.max(np.abs(g), initial=0.0)) for g in grads)
+    total_sq = 0.0
+    for g in grads:
+        q = g / largest
+        total_sq += float((q * q).sum())
+    root = float(np.sqrt(total_sq))
+    return largest * root, clip_norm / largest / root
+
+
 class Adam:
     beta1, beta2, eps, clip_norm = 0.9, 0.999, 1e-8, 5.0
 
@@ -42,15 +56,18 @@ class Adam:
         """Apply one update from a {param: gradient} map holding every parameter
         (see autodiff.backward); returns the global gradient norm before clipping."""
         total_sq = 0.0
-        for p in self.params:
-            total_sq += float((grads[p] * grads[p]).sum())
+        with np.errstate(over="ignore"):
+            for p in self.params:
+                total_sq += float((grads[p] * grads[p]).sum())
         norm = float(np.sqrt(total_sq))
-        if not np.isfinite(norm):        # a NaN or Inf entry, or a square that overflows
+        if np.isfinite(norm):
+            scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
+        else:                            # a NaN or Inf entry, or a square that overflows
             for p in self.params:
                 if not np.all(np.isfinite(grads[p])):
                     raise OptimizerError(f"non-finite gradient for parameter '{p.name}' "
                                          f"at step {self.t + 1}")
-        scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
+            norm, scale = _rescaled_clip([grads[p] for p in self.params], self.clip_norm)
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t

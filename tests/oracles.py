@@ -11,8 +11,10 @@ hypothesis, and Adam with a finite check and a clipping pass of their own
 before the update.  The data layer's old functions are here too: the
 symbol extractor and the entity linker each with a reader of its own,
 and template ids, anonymization, de-anonymization and normalization each
-with its own entity-reference scan.  Tests compare the library against them;
-the package never uses them.  The autodiff ops that only tests need,
+with its own entity-reference scan, and the synthetic-corpus generator
+that instantiated every slot combination before the cap cut them.  Tests
+compare the library against them; the package never uses them.  The
+autodiff ops that only tests need,
 `sigmoid`, `tsum`, `transpose`, `matmul` and `mul`, live here too, as
 does the finite-difference gradient check `finite_diff_check`;
 `sigmoid` computes the logistic function itself rather than through the
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import re
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -31,10 +34,12 @@ import numpy as np
 
 from tagparse import autodiff as ad
 from tagparse.autodiff import Tensor, backward, no_grad
-from tagparse.data.corpus import (CorpusExample, EntitySpan, MeaningRepresentation,
+from tagparse.data.corpus import (FORMALISMS, CorpusExample, EntitySpan, MeaningRepresentation,
                                   SymbolSet, Utterance, _LAMBDA_ENTITY, _remap_alignments)
+from tagparse.data.loader import example_from_record
 from tagparse.data.symbols import (_IDENTIFIER, _SQL_COMPARATORS, LAMBDA_OPERATORS,
                                    SQL_AGGREGATES, SQL_KEYWORDS, MeaningParseError)
+from tagparse.data.synthetic import SyntheticConfigError, _entries
 from tagparse.optim import OptimizerError
 from tagparse.parser import BOS, EOS, DecodeResult, _start, embed_inputs
 from tagparse.tagger import tag_distribution
@@ -370,11 +375,22 @@ def clip_global_norm(grads: Dict[Tensor, np.ndarray], max_norm: float) -> float:
     Returns the pre-clip global norm.
     """
     total_sq = 0.0
-    for g in grads.values():
-        total_sq += float((g * g).sum())
+    with np.errstate(over="ignore"):
+        for g in grads.values():
+            total_sq += float((g * g).sum())
     norm = float(np.sqrt(total_sq))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
+        if norm == np.inf:
+            # finite gradients whose squares overflow: the norm of the
+            # gradients divided by their largest magnitude does not
+            largest = max(float(np.max(np.abs(g), initial=0.0)) for g in grads.values())
+            total_sq = 0.0
+            for g in grads.values():
+                q = g / largest
+                total_sq += float((q * q).sum())
+            root = float(np.sqrt(total_sq))
+            norm, scale = largest * root, max_norm / largest / root
         for p in grads:
             grads[p] = grads[p] * scale
     return norm
@@ -777,3 +793,137 @@ def normalize_tokens(meaning) -> Tuple[str, ...]:
     if isinstance(meaning, str):
         meaning = meaning.split()
     return tuple(_canonical_token(t.lower()) for t in meaning if t)
+
+
+_SLOT = re.compile(r"^<([PE])(\d+)>$")
+
+
+def _slots_in(pattern: str):
+    found = []
+    for token in pattern.split():
+        m = _SLOT.match(token)
+        if m:
+            found.append(token.strip("<>"))
+    return found
+
+
+def _instantiate(template: dict, formalism: str, pred_fill: Dict[str, dict],
+                 ent_fill: Dict[str, dict]) -> dict:
+    utt_tokens: List[str] = []
+    entities = []
+    slot_span: Dict[str, range] = {}
+    for token in template["utterance"].split():
+        m = _SLOT.match(token)
+        if not m:
+            utt_tokens.append(token.lower())
+            continue
+        slot = token.strip("<>")
+        if m.group(1) == "P":
+            words = pred_fill[slot]["word"].lower().split()
+        else:
+            words = ent_fill[slot]["word"].lower().split()
+        start = len(utt_tokens)
+        utt_tokens.extend(words)
+        slot_span[slot] = range(start, len(utt_tokens))
+        if m.group(1) == "E":
+            ent = ent_fill[slot]
+            entities.append({"span": [start, len(utt_tokens)],
+                             "id": ent["id"], "type": ent["type"]})
+
+    meaning = template["meaning"]
+    for slot, pred in pred_fill.items():
+        meaning = meaning.replace(f"<{slot}>", pred["symbol"])
+    for slot, ent in ent_fill.items():
+        meaning = meaning.replace(f"<{slot}>", ent["id"])
+
+    gold: Dict[str, List[int]] = {}
+    for slot, pred in pred_fill.items():
+        gold[pred["symbol"]] = list(slot_span[slot])
+    for symbol, ref in (template.get("aligned") or {}).items():
+        m = _SLOT.match(ref)
+        if m:
+            if ref.strip("<>") not in slot_span:
+                raise SyntheticConfigError(
+                    f"aligned ref {ref} not a slot of template {template['utterance']!r}")
+            gold[symbol] = list(slot_span[ref.strip("<>")])
+        else:
+            word = ref.lower()
+            if word not in utt_tokens:
+                raise SyntheticConfigError(
+                    f"aligned word {ref!r} absent from {' '.join(utt_tokens)!r}")
+            gold[symbol] = [utt_tokens.index(word)]
+
+    used: set = set()
+    for symbol, indices in gold.items():
+        if used & set(indices):
+            raise SyntheticConfigError(
+                f"gold alignment not injective in template {template['utterance']!r}")
+        used.update(indices)
+
+    record = {"utterance": " ".join(utt_tokens), "meaning": meaning,
+              "formalism": formalism, "gold_alignment": gold}
+    if entities:
+        record["entities"] = entities
+    return record
+
+
+def eager_gen_synthetic(config: dict, seed: int = 0) -> List[CorpusExample]:
+    """`gen_synthetic` as it was before it compiled templates: every slot
+    combination instantiated, then shuffled and cut to `max_examples`."""
+    if not isinstance(config, dict):
+        raise SyntheticConfigError(
+            f"grammar must be a JSON object, not {type(config).__name__}")
+    formalism = config.get("formalism", "lambda")
+    if formalism not in FORMALISMS:
+        raise SyntheticConfigError(f"unknown formalism {formalism!r}")
+    entities = _entries(config, "entities", ("word", "id", "type"))
+    predicates = _entries(config, "predicates", ("word", "symbol"))
+    templates = _entries(config, "templates", ("utterance", "meaning"),
+                         maps=("aligned", "types"))
+    if not templates:
+        raise SyntheticConfigError("grammar has no templates")
+    cap = config.get("max_examples")
+    if cap is not None and not (type(cap) is int and cap >= 0):
+        raise SyntheticConfigError(
+            f"max_examples must be an integer >= 0, got {cap!r:.60}")
+
+    records: List[dict] = []
+    for template in templates:
+        slots = _slots_in(template["utterance"])
+        p_slots = [s for s in slots if s.startswith("P")]
+        e_slots = [s for s in slots if s.startswith("E")]
+        for slot in _slots_in(template["meaning"]):
+            if slot not in slots:
+                raise SyntheticConfigError(
+                    f"meaning slot <{slot}> missing from utterance "
+                    f"{template['utterance']!r}")
+        if p_slots and not predicates:
+            raise SyntheticConfigError("empty predicate lexicon")
+        if e_slots and not entities:
+            raise SyntheticConfigError("empty entity lexicon")
+
+        types = template.get("types") or {}
+        e_choices = []
+        for slot in e_slots:
+            pool = [e for e in entities
+                    if slot not in types or e["type"] == types[slot]]
+            if not pool:
+                raise SyntheticConfigError(f"no entities of type {types.get(slot)!r}")
+            e_choices.append(pool)
+
+        # permutations/product of zero slots yield one empty combo each.
+        for pred_combo in itertools.permutations(predicates, len(p_slots)):
+            for ent_combo in itertools.product(*e_choices):
+                if len({e["id"] for e in ent_combo}) != len(ent_combo):
+                    continue  # distinct entities per example
+                records.append(_instantiate(
+                    template, formalism,
+                    dict(zip(p_slots, pred_combo)),
+                    dict(zip(e_slots, ent_combo))))
+
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(records))
+    if cap is not None:
+        order = order[:cap]
+    return [example_from_record(records[i], example_id=k)
+            for k, i in enumerate(order)]

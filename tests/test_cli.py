@@ -5,6 +5,7 @@ import pytest
 from tagparse.cli import main
 from tagparse.tagger import TaggerConfig, TagVocabulary, init_tagger, load_tagger, save_tagger
 from tests.test_checkpoint import edit_checkpoint, edit_header
+from tests.test_corpus import marker_collision_record
 from tests.test_experiment import tiny_config
 from tests.test_synthetic import cartesian_grammar
 
@@ -218,6 +219,18 @@ def test_split_with_mistyped_corpus_line_is_one_line_error(pipeline, tmp_path, c
     assert code == 1
     assert err.splitlines() == [
         "error: line 2: field 'utterance' must be a JSON string, not int"]
+
+
+def test_split_with_entity_type_ending_in_a_digit_is_one_line_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(marker_collision_record("cx")) + "\n"
+                      + json.dumps(marker_collision_record("c1")) + "\n")
+    code, _, err = run_cli(capsys, "split", "--corpus", str(corpus), "--mode", "query",
+                           "--out", str(tmp_path / "split.json"))
+    assert code == 1
+    assert err.splitlines() == [
+        "error: line 2: entity type 'c1' ends in a digit, so its numbered markers could "
+        "equal another type's"]
 
 
 def test_gen_synthetic_with_malformed_grammar_is_one_line_error(tmp_path, capsys):

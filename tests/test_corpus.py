@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tagparse.data import (CorpusError, anonymize_entities, deanonymize_example,
                            deanonymize_tokens, example_from_record, load_corpus,
                            save_corpus, template_id_for, tokenize_meaning)
+from tagparse.data.corpus import EntitySpan, _number_markers
 
 from tests.test_synthetic import synthetic_corpora
 
@@ -183,6 +184,30 @@ def test_anonymize_same_entity_twice_same_marker():
     anon = anonymize_entities(example_from_record(record, 0))
     assert anon.utterance.tokens == ("from", "ci0", "to", "ci0")
     assert anon.meaning.tokens.count("ci0") == 2
+
+
+def marker_collision_record(odd_type="c1"):
+    """Eleven type-'c' entities and one of `odd_type`: with type 'c1', that
+    entity's first marker and type 'c''s eleventh are both 'c10'."""
+    entities = [{"span": [k, k + 1], "id": f"w{k}", "type": "c"} for k in range(11)]
+    entities.append({"span": [11, 12], "id": "w11", "type": odd_type})
+    return {"utterance": " ".join(f"w{k}" for k in range(12)), "formalism": "sql",
+            "meaning": "select x from t where " + " and ".join(f'y = "w{k}"' for k in range(12)),
+            "entities": entities}
+
+
+def test_entity_type_ending_in_a_digit_is_rejected():
+    record = marker_collision_record()
+    markers = _number_markers(EntitySpan(*e["span"], e["id"], e["type"])
+                              for e in record["entities"])
+    assert markers["w10"] == markers["w11"] == "c10"
+    with pytest.raises(CorpusError) as caught:
+        example_from_record(record, 0)
+    assert str(caught.value) == ("entity type 'c1' ends in a digit, so its numbered "
+                                 "markers could equal another type's")
+    anon = anonymize_entities(example_from_record(marker_collision_record("cx"), 0))
+    assert deanonymize_example(anon).meaning == example_from_record(
+        marker_collision_record("cx"), 0).meaning
 
 
 def test_anonymize_collapses_multiword_spans():

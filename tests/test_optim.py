@@ -1,6 +1,6 @@
 """Adam optimizer and gradient clipping."""
 
-import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -70,6 +70,20 @@ def test_clip_global_norm_joint_over_parameters():
     np.testing.assert_array_equal(grads[a], np.full(3, 10.0))
 
 
+@pytest.mark.parametrize("size", [1e200, 1e308])
+def test_gradient_whose_squares_overflow_is_clipped_not_zeroed(size):
+    # at 1e308 the norm itself exceeds the float range and reads infinite
+    a, b = ad.parameter(np.zeros(3), "a"), ad.parameter(np.zeros(4), "b")
+    opt = Adam([a, b], lr=0.1)
+    norm = opt.step({a: np.full(3, size), b: np.full(4, -size)})
+    assert norm == pytest.approx(size * math.sqrt(7.0), rel=1e-15)
+    clipped = [opt._m[id(p)] / (1.0 - opt.beta1) for p in (a, b)]
+    np.testing.assert_allclose(np.concatenate(clipped), np.repeat([5.0, -5.0], [3, 4]) / np.sqrt(7.0),
+                               rtol=1e-12)
+    np.testing.assert_allclose(np.concatenate([a.data, b.data]),
+                               np.repeat([-0.1, 0.1], [3, 4]), rtol=1e-6)
+
+
 @pytest.mark.parametrize("scale", [0.1, 10.0])
 def test_step_returns_the_norm_before_clipping(scale):
     a, b = ad.parameter(np.zeros(3), "a"), ad.parameter(np.zeros(4), "b")
@@ -126,38 +140,34 @@ shapes = st.lists(st.sampled_from([(), (1,), (3,), (2, 3), (4, 1)]), min_size=1,
 @example(seed=2, shapes=[(3,), (2, 3)], steps=1, scale=0.5, poison=np.inf)
 def test_step_is_bit_identical_to_the_two_pass_oracle(seed, shapes, steps, scale, poison):
     # scales below and above the clip norm of 5 leave clipping idle and firing;
-    # at 1e200 the squares overflow, so the norm is infinite and the clip scale 0,
-    # and numpy warns of the overflow
-    overflow = (pytest.warns(RuntimeWarning, match="overflow") if scale == 1e200
-                else contextlib.nullcontext())
-    with overflow:
-        rng = np.random.default_rng(seed)
-        initial = [rng.normal(size=shape) for shape in shapes]
-        opt = Adam([ad.parameter(np.array(x), f"p{k}") for k, x in enumerate(initial)], lr=0.01)
-        oracle = TwoPassAdam([ad.parameter(np.array(x), f"p{k}") for k, x in enumerate(initial)],
-                             lr=0.01)
+    # at 1e200 the squares overflow, and the norm is taken on rescaled gradients
+    rng = np.random.default_rng(seed)
+    initial = [rng.normal(size=shape) for shape in shapes]
+    opt = Adam([ad.parameter(np.array(x), f"p{k}") for k, x in enumerate(initial)], lr=0.01)
+    oracle = TwoPassAdam([ad.parameter(np.array(x), f"p{k}") for k, x in enumerate(initial)],
+                         lr=0.01)
 
-        def step(optimizer, grads):
-            return optimizer.step({p: g.copy() for p, g in zip(optimizer.params, grads)})
+    def step(optimizer, grads):
+        return optimizer.step({p: g.copy() for p, g in zip(optimizer.params, grads)})
 
-        for _ in range(steps):
-            grads = [np.array(scale * rng.normal(size=shape)) for shape in shapes]
-            assert step(opt, grads) == step(oracle, grads)
-            assert_same_state(state(opt), state(oracle))
-        if poison is None:
-            return
-        # a NaN or infinite entry in some parameters' gradients names the first of them
+    for _ in range(steps):
         grads = [np.array(scale * rng.normal(size=shape)) for shape in shapes]
-        bad = np.sort(rng.choice(len(shapes), size=rng.integers(1, len(shapes) + 1),
-                                 replace=False))
-        for k in bad:
-            grads[k].reshape(-1)[rng.integers(grads[k].size)] = poison
-        before = state(opt)
-        for optimizer in (opt, oracle):
-            with pytest.raises(OptimizerError,
-                               match=f"parameter 'p{bad[0]}' at step {steps + 1}$"):
-                step(optimizer, grads)
-            assert optimizer.t == steps
-        assert_same_state(state(opt), before)
-        assert_same_state(state(oracle), before)
+        assert step(opt, grads) == step(oracle, grads)
+        assert_same_state(state(opt), state(oracle))
+    if poison is None:
+        return
+    # a NaN or infinite entry in some parameters' gradients names the first of them
+    grads = [np.array(scale * rng.normal(size=shape)) for shape in shapes]
+    bad = np.sort(rng.choice(len(shapes), size=rng.integers(1, len(shapes) + 1),
+                             replace=False))
+    for k in bad:
+        grads[k].reshape(-1)[rng.integers(grads[k].size)] = poison
+    before = state(opt)
+    for optimizer in (opt, oracle):
+        with pytest.raises(OptimizerError,
+                           match=f"parameter 'p{bad[0]}' at step {steps + 1}$"):
+            step(optimizer, grads)
+        assert optimizer.t == steps
+    assert_same_state(state(opt), before)
+    assert_same_state(state(oracle), before)
 
