@@ -72,9 +72,13 @@ def load_checkpoint(path, expect_kind: str | None = None,
                     meta_keys: Sequence[str] = ()) -> Tuple[Dict[str, np.ndarray], dict]:
     """Read a checkpoint; returns ({name: float64 array}, meta).
 
-    Every array is a fresh, writable, native-order float64 array.  A
-    malformed container, or a `meta` that lacks one of `meta_keys`,
-    raises CheckpointError naming the fault.
+    The payload is read with one call into one float64 buffer, allocated
+    only once the header and the file size agree.  Every array is a
+    writable, C-contiguous, native-order view of its block of that
+    buffer, so keeping any one of them alive keeps the whole payload
+    alive.  A malformed container, a file that shrinks while it is read,
+    or a `meta` that lacks one of `meta_keys`, raises CheckpointError
+    naming the fault.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -102,11 +106,17 @@ def load_checkpoint(path, expect_kind: str | None = None,
                     f"parameter '{name}': malformed payload, the file ends inside its values")
         if end < size:
             raise CheckpointError(f"checkpoint has {size - end} bytes after its last parameter")
-        params = {}
-        for name, shape in shapes.items():
-            values = np.empty(shape, dtype=_FLOAT)
-            f.readinto(values)
-            params[name] = values.astype(np.float64, copy=False)
+        payload = np.empty((end - _PREAMBLE - header_size) // _FLOAT.itemsize, _FLOAT)
+        read = f.readinto(payload)
+        if read != payload.nbytes:
+            raise CheckpointError(f"checkpoint payload ended after {read} of its "
+                                  f"{payload.nbytes} bytes; the file shrank while it was read")
+    payload = payload.astype(np.float64, copy=False)
+    params, start = {}, 0
+    for name, shape in shapes.items():
+        stop = start + math.prod(shape)
+        params[name] = payload[start:stop].reshape(shape)
+        start = stop
     return params, meta
 
 

@@ -8,7 +8,8 @@ tagger's predicted tags, decode the test section, and score it.  All
 artifacts land under one output directory (the two checkpoint kinds are
 binary files despite their `.json` names; see `checkpoint`):
 
-    manifest.json                   resolved config + code version
+    manifest.json                   resolved config, code version and
+                                    numeric environment
     report.tsv                      per-seed and mean rows per model
     seed<k>/split.json
     seed<k>/tagger.json             checkpoint
@@ -27,10 +28,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import platform
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .checkpoint import config_from_fields
@@ -151,6 +156,18 @@ def code_version() -> str:
     return f"v{__version__}+{_source_digest(package)}"
 
 
+def _numeric_environment() -> dict:
+    """What decides a run's last bits besides the code and the config: the Python
+    and numpy versions, numpy's BLAS build and the BLAS thread variables."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
+        "threads": {var: os.environ.get(var) for var in
+                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+
+
 def _source_digest(root: Path) -> str:
     """The first 12 hex digits of a sha256 over every `*.py` file under `root`:
     its relative path, its length and its bytes, in sorted path order."""
@@ -262,7 +279,7 @@ def run_experiment(config, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest = {"format_version": 1, "config": config,
-                "code_version": code_version()}
+                "code_version": code_version(), "environment": _numeric_environment()}
     with open(out_dir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")

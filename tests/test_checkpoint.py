@@ -2,9 +2,11 @@
 
 import json
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -87,12 +89,29 @@ def test_round_trip_property(arrays):
         loaded, loaded_meta = load_checkpoint(first, expect_kind="x")
     assert loaded_meta == meta
     assert loaded.keys() == arrays.keys()
+    assert_one_payload(loaded)
     for name, values in arrays.items():
         got = loaded[name]
         assert got.shape == values.shape
-        assert got.dtype == np.float64 and got.dtype.isnative
-        assert got.flags.writeable and got.flags.owndata
         np.testing.assert_array_equal(got.view(np.uint64), values.view(np.uint64))
+
+
+def assert_one_payload(arrays):
+    """Each of {name: array} is a writable, C-contiguous view of one native
+    float64 buffer, at its sorted-name offset, and together they cover it.  An
+    empty view has no place to check: numpy does not advance its data pointer."""
+    payload = arrays[min(arrays)].base
+    assert payload.dtype == np.float64 and payload.dtype.isnative and payload.ndim == 1
+    offset = 0
+    for name in sorted(arrays):
+        got = arrays[name]
+        assert got.base is payload and got.dtype == payload.dtype
+        assert got.flags.writeable and got.flags.c_contiguous
+        if got.size:
+            assert np.shares_memory(got, payload)
+            assert got.ctypes.data == payload.ctypes.data + offset * payload.itemsize
+        offset += got.size
+    assert offset == payload.size
 
 
 def test_duplicate_parameter_name_rejected(tmp_path):
@@ -161,6 +180,14 @@ def _with_header(blob, header):
     return blob[:8] + len(header).to_bytes(8, "little") + header + blob[end:]
 
 
+def _reshaped(blob, name, shape):
+    """`blob` with parameter `name`'s shape in the header set to `shape`."""
+    end = 16 + int.from_bytes(blob[8:16], "little")
+    doc = json.loads(blob[16:end])
+    doc["params"][name]["shape"] = shape
+    return _with_header(blob, json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+
+
 V1_CHECKPOINT = json.dumps({"format_version": 1, "kind": "x", "meta": {},
                             "params": {"a": {"shape": [2], "values": [1.0, 2.0]}}})
 
@@ -187,6 +214,10 @@ MALFORMED_FILES = {
     "payload ends inside a parameter": (
         lambda blob: blob[:-32],
         "parameter 'a': malformed payload, the file ends inside its values"),
+    # the size checks run before the payload buffer exists, so no 8 TiB allocation
+    "shape far larger than the file": (
+        lambda blob: _reshaped(blob, "a", [2**40]),
+        "parameter 'a': malformed payload, the file ends inside its values"),
     "bytes after the last parameter": (lambda blob: blob + bytes(8),
                                        "checkpoint has 8 bytes after its last parameter"),
     "version 1 JSON": (lambda blob: V1_CHECKPOINT.encode(),
@@ -208,17 +239,38 @@ def test_malformed_file_named(tmp_path, case):
         load_checkpoint(path)
 
 
-def test_loaded_tagger_takes_an_adam_step(tmp_path):
+def test_file_that_shrinks_while_read_is_named(tmp_path, monkeypatch):
+    # save_checkpoint truncates the file it rewrites, so a reader can find
+    # fewer bytes than the size it measured before reading the payload
+    path = tmp_path / "shrunk.ckpt"
+    save_checkpoint(path, [ad.parameter(np.ones(3), "b"), ad.parameter(np.ones(2), "a")],
+                    kind="x")
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-12])
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+    with pytest.raises(CheckpointError, match="^checkpoint payload ended after 28 of its "
+                                              "40 bytes; the file shrank while it was read$"):
+        load_checkpoint(path)
+
+
+def test_loaded_models_take_an_adam_step(tmp_path):
     from tagparse.optim import Adam
-    from tagparse.tagger import load_tagger, save_tagger
-    from tests.test_tagger import small_params
-    path = tmp_path / "tagger.json"
-    save_tagger(path, small_params())
-    params = load_tagger(path).parameters()
-    before = [p.data.copy() for p in params]
-    Adam(params, lr=0.1).step({p: np.ones_like(p.data) for p in params})
-    for p, old in zip(params, before):
-        assert not np.any(p.data == old), p.name
+    from tagparse.parser import save_parser
+    from tagparse.tagger import save_tagger
+    savers = {"tagger": save_tagger, "parser": save_parser}
+    for kind, (path, load) in saved_models(tmp_path).items():
+        model = load(path)
+        params = model.parameters()
+        before = [p.data.copy() for p in params]
+        Adam(params, lr=0.1).step({p: np.ones_like(p.data) for p in params})
+        for p, old in zip(params, before):
+            assert not np.any(p.data == old), p.name
+        assert_one_payload({p.name: p.data for p in params})
+        resaved = tmp_path / f"{kind}.resaved"
+        savers[kind](resaved, model)
+        for want, got in zip(params, load(resaved).parameters(), strict=True):
+            assert got.name == want.name
+            np.testing.assert_array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
 
 
 def saved_models(tmp_path):

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
+import platform
 import re
 import shutil
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tagparse import __version__, experiment
@@ -190,6 +193,13 @@ def test_manifest_records_config_and_version(tiny_run):
     assert manifest["format_version"] == 1
     assert manifest["config"] == resolve_config(config)
     assert manifest["code_version"] == code_version()
+    env = manifest["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["blas"] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"]["name"] and env["blas"]["version"]
+    assert env["threads"] == {var: os.environ.get(var) for var in
+                              ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def test_paired_models_report_per_seed_and_mean(tiny_run):
