@@ -26,9 +26,8 @@ from .evaluation import (ERROR_CLASSES, EvalError, EvalReport,
 from .experiment import (ExperimentError, code_version, predict_records,
                          resolve_config, run_experiment)
 from .parser import (DecodeConfig, DecodeResult, ParseResult, ParserConfig,
-                     ParserError, ParserParams, decode, embed_inputs,
-                     init_parser, load_parser, parse, save_parser,
-                     train_parser)
+                     ParserError, ParserParams, decode, init_parser,
+                     load_parser, parse, save_parser, train_parser)
 from .tagger import (TaggerConfig, TaggerParams, TagVocabulary, init_tagger,
                      load_tagger, predict_tags, save_tagger, tag_distribution)
 
@@ -49,7 +48,7 @@ __all__ = [
     "train_tagger",
     # parser
     "DecodeConfig", "DecodeResult", "ParseResult", "ParserConfig",
-    "ParserError", "ParserParams", "decode", "embed_inputs", "init_parser",
+    "ParserError", "ParserParams", "decode", "init_parser",
     "load_parser", "parse", "save_parser", "train_parser",
     # evaluation and experiments
     "ERROR_CLASSES", "EvalError", "EvalReport", "aggregate_reports",

@@ -25,7 +25,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import contextmanager
+import shutil
+from contextlib import contextmanager, suppress
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -48,7 +49,7 @@ class CheckpointError(ValueError):
 
 def save_checkpoint(path, params: Sequence[Tensor], kind: str,
                     meta: dict | None = None) -> None:
-    """Write named parameters plus metadata to `path`."""
+    """Write named parameters plus metadata to `path`, replacing it whole."""
     named = {}
     for p in params:
         if not p.name:
@@ -62,10 +63,21 @@ def save_checkpoint(path, params: Sequence[Tensor], kind: str,
         "meta": meta or {},
         "params": {name: {"shape": list(arr.shape)} for name, arr in named.items()},
     }, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC + len(header).to_bytes(8, "little") + header)
-        for name in sorted(named):
-            f.write(np.ascontiguousarray(named[name], dtype=_FLOAT))
+    # written beside the target and renamed onto it, so a save that fails
+    # part-way leaves the previous file whole and a reader never sees half a file
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC + len(header).to_bytes(8, "little") + header)
+            for name in sorted(named):
+                f.write(np.ascontiguousarray(named[name], dtype=_FLOAT))
+        with suppress(FileNotFoundError):
+            shutil.copymode(path, tmp)           # the mode an overwrite in place keeps
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path, expect_kind: str | None = None,

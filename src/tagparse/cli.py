@@ -17,7 +17,7 @@ from .checkpoint import CheckpointError, config_from_fields
 from .data import (CorpusError, MeaningParseError, MeaningRepresentation,
                    SyntheticConfigError, anonymize_entities, default_grammar,
                    extract_symbols, gen_synthetic, load_corpus, save_corpus)
-from .data.splits import SplitError, SplitSpec, make_split
+from .data.splits import DEFAULT_RATIOS, SplitError, SplitSpec, make_split
 from .em import EmConfig, EmError, train_tagger
 from .evaluation import EvalError, evaluate
 from .experiment import ExperimentError, predict_records, run_experiment
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("split", help="partition a corpus")
     sub.add_argument("--corpus", required=True)
     sub.add_argument("--mode", required=True, choices=("question", "query"))
-    sub.add_argument("--ratios", default="0.7,0.3",
+    sub.add_argument("--ratios", default=",".join(map(str, DEFAULT_RATIOS)),
                      help="comma-separated fractions for train[,dev],test")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True)
@@ -256,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(sub, "test")
     sub.add_argument("--tagger", help="tagger checkpoint")
     sub.add_argument("--parser", required=True, help="parser checkpoint")
-    sub.add_argument("--beam", type=int, default=5)
-    sub.add_argument("--max-length", type=int, default=150)
+    sub.add_argument("--beam", type=int, default=DecodeConfig.beam_size)
+    sub.add_argument("--max-length", type=int, default=DecodeConfig.max_length)
     sub.add_argument("--out")
     sub.set_defaults(fn=_cmd_parse)
 

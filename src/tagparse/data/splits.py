@@ -19,6 +19,7 @@ from ..checkpoint import config_from_fields
 __all__ = ["SplitError", "SplitSpec", "make_split"]
 
 SECTION_NAMES = ("train", "dev", "test")
+DEFAULT_RATIOS = (0.7, 0.3)     # train, test
 _MODES = ("question", "query")
 
 
@@ -81,6 +82,9 @@ def make_split(corpus, mode: str, ratios: Sequence[float], seed: int) -> SplitSp
         raise SplitError(f"unknown split mode {mode!r}")
     if not 2 <= len(ratios) <= 3:
         raise SplitError(f"need 2 or 3 ratios, got {len(ratios)}")
+    for r in ratios:
+        if not 0 < r < np.inf:                        # NaN fails too
+            raise SplitError(f"each ratio must be finite and > 0, got {r}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise SplitError(f"ratios must sum to 1, got {sum(ratios)}")
     names = ("train", "test") if len(ratios) == 2 else SECTION_NAMES

@@ -40,7 +40,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import config_from_fields
 from .data import anonymize_entities, gen_synthetic, load_corpus
-from .data.splits import make_split
+from .data.splits import DEFAULT_RATIOS, make_split
 from .em import EmConfig, train_tagger
 from .evaluation import aggregate_reports, evaluate, exact_match, report_table
 from .parser import (DecodeConfig, ParserConfig, parse, save_parser,
@@ -84,7 +84,7 @@ class _Data:
 @dataclass(frozen=True)
 class _Split:
     mode: str = "query"
-    ratios: list = (0.7, 0.3)
+    ratios: list = DEFAULT_RATIOS
 
 
 def _section(fields, name: str, cls, **fixed) -> dict:
@@ -112,7 +112,7 @@ def resolve_config(raw: dict) -> dict:
     if "path" in data and len(data) > 1:
         raise ExperimentError("data takes either 'path' or 'grammar' and 'seed'")
     if "path" not in data:
-        data = {"grammar": data.get("grammar"), "seed": data.get("seed", 0)}
+        data = {key: data.get(key, getattr(_Data, key)) for key in ("grammar", "seed")}
     seeds, models = list(top.seeds), list(top.models)
     if not seeds or any(type(s) is not int for s in seeds):
         raise ExperimentError(f"config key 'seeds' must be a nonempty list of "
@@ -130,7 +130,7 @@ def resolve_config(raw: dict) -> dict:
         "seeds": seeds,
         "data": data,
         "anonymize": top.anonymize,
-        "split": {"mode": "query", "ratios": [0.7, 0.3],
+        "split": {"mode": _Split.mode, "ratios": list(_Split.ratios),
                   **_section(top.split, "split", _Split)},
         "em": _section(top.em, "em", EmConfig, seed=0),
         "tagger": _section(top.tagger, "tagger", TaggerConfig),

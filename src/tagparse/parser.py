@@ -1,9 +1,10 @@
 """Tag-augmented encoder-decoder that maps utterances to meaning tokens.
 
 The encoder consumes u_t = [tag embedding; word embedding] per word (the
-baseline variant drops the tag block and is otherwise identical).  Tag
-embeddings are rows of the decoder's output-symbol embedding table, so
-the tagger's symbols and the decoder's tokens share one vector space.
+baseline variant drops the tag block and is otherwise identical), a
+batch's u_t built by one gather from each table and one column concat.
+Tag embeddings are rows of the decoder's output-symbol embedding table,
+so the tagger's symbols and the decoder's tokens share one vector space.
 The decoder is an LSTM with bilinear attention over encoder states and
 input feeding: each step consumes the previous output embedding
 concatenated with the previous attentional state.
@@ -26,6 +27,7 @@ is returned with a truncation flag.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -42,8 +44,7 @@ from .tagger import (NULL_TAG, UNK_TAG, TaggerParams, TagVocabulary, _tokens,
 
 __all__ = ["BOS", "EOS", "ParserError", "ParserConfig", "DecodeConfig",
            "ParserParams", "DecodeResult", "ParseResult", "init_parser",
-           "embed_inputs", "train_parser", "decode", "parse", "save_parser",
-           "load_parser"]
+           "train_parser", "decode", "parse", "save_parser", "load_parser"]
 
 BOS = "<s>"
 EOS = "</s>"
@@ -138,43 +139,41 @@ def _build(word_vocab: Vocab, out_vocab: Vocab, tag_vocab: TagVocabulary,
     )
 
 
-def _tag_out_ids(params: ParserParams, tags) -> np.ndarray:
-    """Map tag ids onto shared-table row ids."""
-    return params.out_vocab.encode([params.tag_vocab.symbol_of(t) for t in tags])
-
-
-def embed_inputs(params: ParserParams, utterance, tags=None) -> Tensor:
-    """Encoder inputs u_t; tag block first, then the word embedding."""
-    tokens = _tokens(utterance)
-    words = ad.embedding(params.word_emb, params.word_vocab.encode(tokens))
+def _inputs(params: ParserParams, utterances, tag_lists) -> Tuple[Tensor, np.ndarray]:
+    """A batch's encoder inputs u_t stacked row-wise, and each utterance's length."""
+    tokens = [_tokens(u) for u in utterances]
+    lengths = np.array([len(t) for t in tokens])
+    words = ad.embedding(params.word_emb, params.word_vocab.encode(list(chain(*tokens))))
     if not params.config.use_tags:
-        return words
-    if tags is None or len(tags) != len(tokens):
-        got = "none" if tags is None else str(len(tags))
-        raise ParserError(f"{len(tokens)} words need {len(tokens)} tags, got {got}")
-    tag_block = ad.embedding(params.sym_emb, _tag_out_ids(params, tags))
-    return ad.concat([tag_block, words], axis=1)
+        return words, lengths
+    for n, tags in zip(lengths, tag_lists):
+        if tags is None or len(tags) != n:
+            raise ParserError(f"{n} words need {n} tags, got "
+                              f"{'none' if tags is None else len(tags)}")
+    rows = params.out_vocab.encode(params.tag_vocab.id2sym)   # tag id -> shared-table row
+    ids = np.fromiter(chain(*tag_lists), np.intp)
+    return ad.concat([ad.embedding(params.sym_emb, rows[ids]), words], axis=1), lengths
 
 
 def _start(params: ParserParams, utterances, tag_lists):
     """Encode a batch of B utterances and build the decoder's first hidden state.
 
+    The batch is embedded whole by `_inputs` and encoded in one pass.
     Returns the encoder states of every utterance stacked row-wise (N, 2H),
     their attention keys (N, H), the (B, N) additive attention mask (0 on a
     row's own utterance, -inf elsewhere; one zero row when B is 1) and the
     (B, H) first hidden state; the cell state and the first input feed are zero.
     """
-    inputs = [embed_inputs(params, u, t) for u, t in zip(utterances, tag_lists)]
-    lengths = np.array([x.data.shape[0] for x in inputs])
+    inputs, lengths = _inputs(params, utterances, tag_lists)
     ends = np.cumsum(lengths)
-    enc = params.encoder.encode(ad.concat(inputs, axis=0), lengths)
+    enc = params.encoder.encode(inputs, lengths)
     h = params.config.hidden_size
     # h0 reads the forward state of the last word and the backward state of the first
     summary = ad.concat([ad.cols(ad.embedding(enc, ends - 1), 0, h),
                          ad.cols(ad.embedding(enc, ends - lengths), h, 2 * h)], axis=1)
     h0 = ad.tanh(ad.linear(summary, params.w_bridge, params.b_bridge))
-    owner = np.repeat(np.arange(len(inputs)), lengths)
-    mask = np.where(owner[None, :] == np.arange(len(inputs))[:, None], 0.0, -np.inf)
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    mask = np.where(owner[None, :] == np.arange(len(lengths))[:, None], 0.0, -np.inf)
     keys = ad.linear(enc, params.w_att)  # h @ keys.T is the bilinear h @ w_att @ enc.T
     return enc, keys, mask, h0
 

@@ -4,7 +4,8 @@ They compute the same functions out of small autodiff ops: the LSTM cell
 as a per-gate chain of column slices, sigmoids, tanhs and products run
 one (1, 4H) row at a time, one sequence and one direction at a time, each
 bidirectional encoder layer with one concat per word, the tagger one
-utterance at a time, the parser and EM
+utterance at a time, the parser's encoder inputs built one utterance at
+a time and stacked, the parser and EM
 losses as the mean of per-example losses, the teacher-forced decoder as
 one small-op step at a time, beam search with one decoder step per
 hypothesis, and Adam with a finite check and a clipping pass of their own
@@ -41,8 +42,8 @@ from tagparse.data.symbols import (_IDENTIFIER, _SQL_COMPARATORS, LAMBDA_OPERATO
                                    SQL_AGGREGATES, SQL_KEYWORDS, MeaningParseError)
 from tagparse.data.synthetic import SyntheticConfigError, _entries
 from tagparse.optim import OptimizerError
-from tagparse.parser import BOS, EOS, DecodeResult, _start, embed_inputs
-from tagparse.tagger import tag_distribution
+from tagparse.parser import BOS, EOS, DecodeResult, ParserError, _start
+from tagparse.tagger import _tokens, tag_distribution
 
 
 def _sigmoid(x):
@@ -212,6 +213,25 @@ def per_gate_cells(cells):
 
 def parser_cells(params):
     return [params.encoder.fwd, params.encoder.bwd, params.decoder]
+
+
+def embed_inputs(params, utterance, tags=None):
+    """One utterance's encoder inputs u_t; tag block first, then the word embedding."""
+    tokens = _tokens(utterance)
+    words = ad.embedding(params.word_emb, params.word_vocab.encode(tokens))
+    if not params.config.use_tags:
+        return words
+    if tags is None or len(tags) != len(tokens):
+        got = "none" if tags is None else str(len(tags))
+        raise ParserError(f"{len(tokens)} words need {len(tokens)} tags, got {got}")
+    tag_rows = params.out_vocab.encode([params.tag_vocab.symbol_of(t) for t in tags])
+    return ad.concat([ad.embedding(params.sym_emb, tag_rows), words], axis=1)
+
+
+def stacked_inputs(params, utterances, tag_lists):
+    """`parser._inputs` as one `embed_inputs` per utterance, stacked by a row concat."""
+    inputs = [embed_inputs(params, u, t) for u, t in zip(utterances, tag_lists)]
+    return ad.concat(inputs, axis=0), np.array([x.data.shape[0] for x in inputs])
 
 
 def sequence_loss(params, utterance, tags, target_ids):

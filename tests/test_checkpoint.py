@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tagparse import autodiff as ad
+from tagparse import checkpoint as checkpoint_module
 from tagparse.checkpoint import (CheckpointError, config_from_fields, save_checkpoint,
                                  load_checkpoint)
 from tagparse.em import EmConfig
@@ -240,7 +241,7 @@ def test_malformed_file_named(tmp_path, case):
 
 
 def test_file_that_shrinks_while_read_is_named(tmp_path, monkeypatch):
-    # save_checkpoint truncates the file it rewrites, so a reader can find
+    # a file that another program rewrites in place can give a reader
     # fewer bytes than the size it measured before reading the payload
     path = tmp_path / "shrunk.ckpt"
     save_checkpoint(path, [ad.parameter(np.ones(3), "b"), ad.parameter(np.ones(2), "a")],
@@ -251,6 +252,58 @@ def test_file_that_shrinks_while_read_is_named(tmp_path, monkeypatch):
     with pytest.raises(CheckpointError, match="^checkpoint payload ended after 28 of its "
                                               "40 bytes; the file shrank while it was read$"):
         load_checkpoint(path)
+
+
+class FailingSecondWrite:
+    """A file opened for writing whose second `write` raises, as a full disk would."""
+
+    def __init__(self, f):
+        self.f, self.writes = f, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(28, "No space left on device")
+        return self.f.write(data)
+
+
+def test_failed_save_leaves_the_previous_checkpoint_whole(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, [ad.parameter(np.ones(3), "b"), ad.parameter(np.ones(2), "a")],
+                    kind="x")
+    before = path.read_bytes()
+    monkeypatch.setattr(checkpoint_module, "open",
+                        lambda *args: FailingSecondWrite(open(*args)), raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        save_checkpoint(path, [ad.parameter(np.zeros(3), "b"), ad.parameter(np.zeros(2), "a")],
+                        kind="x")
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    values, _ = load_checkpoint(path, "x")
+    np.testing.assert_array_equal(values["b"], np.ones(3))
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o664])
+def test_save_keeps_the_file_mode_of_a_write_in_place(tmp_path, mode):
+    params = [ad.parameter(np.ones(2), "w")]
+    fresh, kept = tmp_path / "fresh.ckpt", tmp_path / "kept.ckpt"
+    with open(tmp_path / "plain", "wb"):
+        pass
+    save_checkpoint(fresh, params, kind="x")
+    assert fresh.stat().st_mode == (tmp_path / "plain").stat().st_mode
+    save_checkpoint(kept, params, kind="x")
+    kept.chmod(mode)
+    save_checkpoint(kept, params, kind="x")
+    assert (kept.stat().st_mode & 0o777) == mode
+    assert kept.read_bytes() == fresh.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.ckpt", "kept.ckpt", "plain"]
 
 
 def test_loaded_models_take_an_adam_step(tmp_path):

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from tagparse.cli import main
+from tagparse.cli import build_parser, main
+from tagparse.experiment import resolve_config
+from tagparse.parser import DecodeConfig
 from tagparse.tagger import TaggerConfig, TagVocabulary, init_tagger, load_tagger, save_tagger
 from tests.test_checkpoint import edit_checkpoint, edit_header
 from tests.test_corpus import marker_collision_record
@@ -219,6 +221,15 @@ def test_split_with_mistyped_corpus_line_is_one_line_error(pipeline, tmp_path, c
     assert code == 1
     assert err.splitlines() == [
         "error: line 2: field 'utterance' must be a JSON string, not int"]
+
+
+@pytest.mark.parametrize("ratios, bad", [("inf,-inf", "inf"), ("nan,0.5", "nan"),
+                                         ("0.8,-0.3,0.5", "-0.3")])
+def test_split_with_bad_ratio_is_one_line_error(ratios, bad, pipeline, tmp_path, capsys):
+    code, _, err = run_cli(capsys, "split", "--corpus", str(pipeline["corpus"]), "--mode",
+                           "question", f"--ratios={ratios}", "--out", str(tmp_path / "split.json"))
+    assert code == 1
+    assert err.splitlines() == [f"error: each ratio must be finite and > 0, got {bad}"]
 
 
 def test_split_with_entity_type_ending_in_a_digit_is_one_line_error(tmp_path, capsys):
@@ -541,6 +552,15 @@ def test_bad_split_file_is_one_line_error(split, message, pipeline, tmp_path, ca
                            "--gold", str(pipeline["corpus"]), "--split", str(path))
     assert code == 1
     assert err.splitlines() == [f"error: {message.replace('PATH', str(path))}"]
+
+
+def test_command_defaults_are_the_library_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["parse", "--corpus", "c", "--parser", "p"])
+    assert (args.beam, args.max_length) == (DecodeConfig().beam_size, DecodeConfig().max_length)
+    args = parser.parse_args(["split", "--corpus", "c", "--mode", "query", "--out", "o"])
+    assert args.ratios == "0.7,0.3"
+    assert [float(r) for r in args.ratios.split(",")] == resolve_config({})["split"]["ratios"]
 
 
 def test_unknown_command_is_usage_error(capsys):

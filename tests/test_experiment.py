@@ -47,6 +47,9 @@ def test_resolve_defaults():
     assert config["seeds"] == list(DEFAULT_SEEDS)
     assert config["models"] == ["tagged", "baseline"]
     assert config["split"] == {"mode": "query", "ratios": [0.7, 0.3]}
+    assert type(config["split"]["ratios"]) is list
+    assert config["data"] == {"grammar": None, "seed": 0}
+    assert type(config["data"]["seed"]) is int
     assert config["anonymize"] is True
     assert config["workers"] == 1
 

@@ -51,6 +51,13 @@ def test_folded_and_test_only_helpers_stay_out_of_the_library(module, name):
     assert name not in tagparse.__all__ and not hasattr(tagparse, name)
 
 
+@pytest.mark.parametrize("module", ["tagparse.parser", "tagparse"])
+def test_parser_embeds_only_whole_batches(module):
+    # `_start` embeds a batch with one gather per table; the per-utterance
+    # `embed_inputs` is the reference in tests/oracles.py
+    assert not hasattr(importlib.import_module(module), "embed_inputs")
+
+
 def test_lstm_cell_has_no_sequence_run():
     # an encoder layer runs both of its cells inside `bilstm_sequence`
     assert not hasattr(importlib.import_module("tagparse.nn").LstmCell, "run")

@@ -1,24 +1,27 @@
 """Fused LSTM ops, the batched tagger, parser and EM losses and batched beam
 search against the per-gate, per-example and per-hypothesis oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tagparse import autodiff as ad
+from tagparse import parser as parser_module
 from tagparse.data import SymbolSet
 from tagparse.em import compute_posteriors, em_loss, harden_posteriors
 from tagparse.nn import BiLstmEncoder, LstmCell, Vocab, drawn
 from tagparse.parser import (BOS, EOS, DecodeConfig, ParserConfig, _batch_loss,
-                             decode, init_parser)
+                             _start, decode, init_parser)
 from tagparse.tagger import (NULL_TAG, UNK_TAG, TaggerConfig, TagVocabulary,
                              init_tagger, predict_tags, tag_distribution)
 
 from tests.oracles import (affine, beam_decode, decoder_step, em_mean_loss,
                            finite_diff_check, gate_layer, gate_step, gate_tag_distribution,
                            mean_loss, mul, output_probs, parser_cells, per_gate_cells,
-                           row_blocks, start, step_loss, tsum)
+                           row_blocks, stacked_inputs, start, step_loss, tsum)
 from tests.test_parser import UTT, tiny_parser
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -159,13 +162,13 @@ def test_encoder_layer_is_one_node_whatever_the_batch(seed, lengths):
     assert nodes[0].parents == (x, *encoder.parameters())
 
 
-def random_batch(params, rng, size):
+def random_batch(params, rng, size, words=UTT):
     """`size` examples of mixed utterance and target lengths, targets ending in EOS."""
     eos = params.out_vocab.tok2id[EOS]
     utterances, tag_lists, targets = [], [], []
     for _ in range(size):
         n = int(rng.integers(1, len(UTT) + 1))
-        utterances.append([UTT[k] for k in rng.integers(len(UTT), size=n)])
+        utterances.append([words[k] for k in rng.integers(len(words), size=n)])
         tag_lists.append(list(rng.integers(len(params.tag_vocab), size=n))
                          if params.config.use_tags else None)
         body = rng.integers(len(params.out_vocab), size=int(rng.integers(0, 8)))
@@ -185,6 +188,40 @@ def test_batched_loss_equals_mean_of_per_example_losses(seed, size, hidden_size,
     oracle = ad.backward(want, params.parameters())
     for p in params.parameters():
         assert rel_err(grads[p], oracle[p]) <= 1e-9, p.name
+
+
+@given(seed=seeds, size=st.integers(1, 5), hidden_size=st.integers(1, 6),
+       use_tags=st.booleans())
+def test_batch_inputs_match_per_utterance_oracle(seed, size, hidden_size, use_tags):
+    # words repeat and some are unknown; tags range over the whole tag vocabulary
+    params = tiny_parser(use_tags=use_tags, hidden=hidden_size, seed=seed)
+    batch = random_batch(params, np.random.default_rng(seed), size,
+                         words=[*UTT, "unseen", "also-unseen"])
+    runs = []
+    for inputs in (parser_module._inputs, stacked_inputs):
+        with mock.patch.object(parser_module, "_inputs", inputs):
+            runs.append((_start(params, *batch[:2]), _batch_loss(params, *batch)))
+    (got_start, got), (want_start, want) = runs
+    for g, w in zip(got_start, want_start):
+        np.testing.assert_array_equal(getattr(g, "data", g), getattr(w, "data", w))
+    np.testing.assert_array_equal(got.data, want.data)
+    grads = ad.backward(got, params.parameters())
+    oracle = ad.backward(want, params.parameters())
+    for p in params.parameters():
+        assert rel_err(grads[p], oracle[p]) <= 1e-9, p.name
+
+
+@given(seed=seeds, use_tags=st.booleans())
+def test_batch_loss_makes_as_many_tensors_whatever_the_batch_size(seed, use_tags):
+    params = tiny_parser(use_tags=use_tags, seed=seed)
+    rng = np.random.default_rng(seed)
+    counts = []
+    for size in (1, 8):
+        batch = random_batch(params, rng, size)
+        first = next(ad._ids)
+        _batch_loss(params, *batch)
+        counts.append(next(ad._ids) - first)
+    assert counts[0] == counts[1]
 
 
 def graph_nodes(root):

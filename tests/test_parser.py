@@ -9,7 +9,7 @@ from tagparse.em import EmConfig, train_tagger
 from tagparse.nn import Vocab
 from tagparse.optim import Adam
 from tagparse.parser import (BOS, EOS, DecodeConfig, ParserConfig,
-                             ParserError, decode, embed_inputs, init_parser, load_parser,
+                             ParserError, _inputs, decode, init_parser, load_parser,
                              parse, save_parser, train_parser)
 from tagparse.tagger import NULL_TAG, TaggerConfig, TagVocabulary, init_tagger
 
@@ -29,54 +29,69 @@ def tiny_parser(use_tags=True, word_emb=6, tag_emb=4, hidden=8, seed=0):
                        TagVocabulary(["shape0", "pred1", "to"]), config, "lambda")
 
 
-def test_embed_inputs_concatenation_arithmetic():
+BATCH = [UTT, ["trips", "to", "trips"], ["unseen", "city2"]]   # repeated and unknown words
+BATCH_WORDS = [w for u in BATCH for w in u]
+
+
+def null_tags(batch):
+    return [[0] * len(u) for u in batch]
+
+
+def test_inputs_concatenation_arithmetic():
     params = tiny_parser(word_emb=200, tag_emb=100, hidden=4)
-    u = embed_inputs(params, UTT, [0] * len(UTT))
-    assert u.data.shape == (5, 300)
+    u, lengths = _inputs(params, BATCH, null_tags(BATCH))
+    assert u.data.shape == (10, 300)
+    assert lengths.tolist() == [5, 3, 2]
 
 
 def test_all_null_tags_add_constant_block():
     params = tiny_parser()
-    u = embed_inputs(params, UTT, [0] * len(UTT)).data
-    words = ad.embedding(params.word_emb,
-                         params.word_vocab.encode(UTT)).data
+    u = _inputs(params, BATCH, null_tags(BATCH))[0].data
+    words = ad.embedding(params.word_emb, params.word_vocab.encode(BATCH_WORDS)).data
     np.testing.assert_array_equal(u[:, 4:], words)       # word block untouched
     null_row = params.sym_emb.data[params.out_vocab.tok2id[NULL_TAG]]
-    np.testing.assert_array_equal(u[:, :4], np.tile(null_row, (5, 1)))
+    np.testing.assert_array_equal(u[:, :4], np.tile(null_row, (10, 1)))
 
 
 def test_baseline_inputs_are_word_embeddings_only():
     params = tiny_parser(use_tags=False)
-    u = embed_inputs(params, UTT)
-    words = ad.embedding(params.word_emb, params.word_vocab.encode(UTT))
+    u, lengths = _inputs(params, BATCH, [None] * len(BATCH))
+    words = ad.embedding(params.word_emb, params.word_vocab.encode(BATCH_WORDS))
     np.testing.assert_array_equal(u.data, words.data)
+    assert lengths.tolist() == [5, 3, 2]
 
 
 def test_swapping_equal_tagged_words_swaps_rows():
     params = tiny_parser()
-    tags = [0, 0, 0, 0, 0]
-    u = embed_inputs(params, UTT, tags).data
-    swapped = embed_inputs(params, [UTT[1], UTT[0], *UTT[2:]], tags).data
-    np.testing.assert_array_equal(swapped[0], u[1])
-    np.testing.assert_array_equal(swapped[1], u[0])
-    np.testing.assert_array_equal(swapped[2:], u[2:])
+    tags = null_tags(BATCH)
+    u = _inputs(params, BATCH, tags)[0].data
+    swapped = [BATCH[0], ["to", "trips", "trips"], BATCH[2]]
+    v = _inputs(params, swapped, tags)[0].data
+    np.testing.assert_array_equal(v[5], u[6])
+    np.testing.assert_array_equal(v[6], u[5])
+    np.testing.assert_array_equal(np.delete(v, [5, 6], axis=0), np.delete(u, [5, 6], axis=0))
+    # reordering the utterances reorders their blocks of rows
+    w = _inputs(params, BATCH[::-1], tags[::-1])[0].data
+    np.testing.assert_array_equal(w, np.concatenate([u[8:], u[5:8], u[:5]]))
 
 
 def test_tag_count_mismatch_rejected():
     params = tiny_parser()
-    with pytest.raises(ParserError, match="5 tags, got 3"):
-        embed_inputs(params, UTT, [0, 0, 0])
-    with pytest.raises(ParserError, match="got none"):
-        embed_inputs(params, UTT, None)
+    with pytest.raises(ParserError, match="^3 words need 3 tags, got 2$"):
+        _inputs(params, BATCH, [[0] * 5, [0, 0], [0, 0]])
+    with pytest.raises(ParserError, match="^2 words need 2 tags, got none$"):
+        _inputs(params, BATCH, [[0] * 5, [0] * 3, None])
 
 
 def test_tag_embeddings_shared_with_decoder_table():
     params = tiny_parser()
     row = params.out_vocab.tok2id["to"]
-    tag_ids = [params.tag_vocab.id_of("to")] * len(UTT)
+    to_id = params.tag_vocab.id_of("to")
     params.sym_emb.data[row] = np.arange(4, dtype=float)
-    u = embed_inputs(params, UTT, tag_ids).data
-    np.testing.assert_array_equal(u[0, :4], np.arange(4.0))
+    u = _inputs(params, BATCH, [[to_id] * 5, [0, to_id, 0], [to_id, 0]])[0].data
+    np.testing.assert_array_equal(u[[0, 4, 6, 8], :4], np.tile(np.arange(4.0), (4, 1)))
+    null_row = params.sym_emb.data[params.out_vocab.tok2id[NULL_TAG]]
+    np.testing.assert_array_equal(u[[5, 7, 9], :4], np.tile(null_row, (3, 1)))
     dec_in = ad.embedding(params.sym_emb, np.array([row])).data[0]
     np.testing.assert_array_equal(dec_in, np.arange(4.0))  # one storage
 

@@ -68,6 +68,34 @@ def test_partitions_cover_corpus_without_overlap(corpus, mode, weights, seed):
         assert all(len(sections) == 1 for sections in owners.values())
 
 
+# arbitrary floats, and lists whose last ratio makes the sum 1 whatever the others are
+any_ratios = st.one_of(
+    st.lists(st.floats(), min_size=2, max_size=3),
+    st.lists(st.floats(-2, 2), min_size=1, max_size=2).map(lambda head: [*head, 1 - sum(head)]))
+
+
+@given(corpus=synthetic_corpora(max_size=40), mode=st.sampled_from(["question", "query"]),
+       ratios=any_ratios, seed=st.integers(0, 2 ** 32 - 1))
+def test_any_float_ratios_give_an_error_or_a_partition(corpus, mode, ratios, seed):
+    try:
+        split = make_split(corpus, mode, ratios, seed)
+    except SplitError:
+        return
+    assert all(0 < r < np.inf for r in ratios)
+    ids = [i for name in split.sections for i in split.ids(name)]
+    assert sorted(ids) == sorted(ex.example_id for ex in corpus)
+
+
+@pytest.mark.parametrize("mode", ["question", "query"])
+@pytest.mark.parametrize("ratios, bad", [([0.8, -0.3, 0.5], "-0.3"), ([0.0, 1.0], "0.0"),
+                                         ([0.5, 0.0, 0.5], "0.0"), ([np.inf, -np.inf], "inf"),
+                                         ([np.nan, 0.5], "nan"), ([0.5, np.nan], "nan")])
+def test_ratio_that_is_not_finite_and_positive_rejected(mode, ratios, bad):
+    # [0.8, -0.3, 0.5] sums to 1, and would put test examples in train
+    with pytest.raises(SplitError, match=f"^each ratio must be finite and > 0, got {bad}$"):
+        make_split(tiny_corpus(5, 5), mode, ratios, seed=0)
+
+
 def test_question_split_can_share_templates():
     # One template only: any 50/50 question split puts it on both sides.
     corpus = tiny_corpus(1, 20)
